@@ -1088,7 +1088,7 @@ let serve () =
                 ~finally:(fun () -> Client.close c)
                 (fun () -> List.length (Client.query c query_rel))
             in
-            let stats = State.stats state ~connections:0 ~total_connections:0 () in
+            let stats = State.stats state in
             Server.stop srv;
             let qps = float_of_int (clients * queries) /. Float.max t_wall 1e-9 in
             [

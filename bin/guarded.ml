@@ -582,14 +582,6 @@ let listen_cmd =
       & info [ "chase-budget" ] ~docv:"N"
           ~doc:"With --chase: derivation budget per chase run before a batch is refused.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker threads answering queries and applying commits off the event loop; the \
-             reactor itself never blocks on the state lock.")
-  in
   let follow_arg =
     Arg.(
       value
@@ -610,12 +602,11 @@ let listen_cmd =
             "With --follow: when the primary stays unreachable past the reconnect budget, \
              promote this replica into a writable primary instead of stopping the stream.")
   in
-  let run_replica ~primary ~auto_promote ?pool ~workers ~queue_capacity ~program ~db_path addr
-      =
+  let run_replica ~primary ~auto_promote ?pool ~queue_capacity ~program ~db_path addr =
     let policy = { Guarded_repl.Failover.default_policy with auto_promote } in
     let local = Option.map (fun p -> (program, load_db p)) db_path in
     match
-      Guarded_repl.Replica.start ?pool ~log:(Fmt.epr "%s@.") ~workers ~queue_capacity ~policy
+      Guarded_repl.Replica.start ?pool ~log:(Fmt.epr "%s@.") ~queue_capacity ~policy
         ?local ~primary addr
     with
     | Error msg ->
@@ -638,7 +629,7 @@ let listen_cmd =
       Guarded_repl.Replica.stop replica
   in
   let run theory_path db_path socket host port snapshot queue_capacity budget_n domains demand
-      chase chase_budget workers follow auto_promote =
+      chase chase_budget follow auto_promote =
     handle_errors (fun () ->
         let sigma = load_theory theory_path in
         let addr = resolve_address socket host port in
@@ -665,7 +656,7 @@ let listen_cmd =
             Fmt.epr "error: --follow: %s@." msg;
             exit 2
           | Ok primary ->
-            run_replica ~primary ~auto_promote ?pool ~workers ~queue_capacity
+            run_replica ~primary ~auto_promote ?pool ~queue_capacity
               ~program:(Lazy.force program) ~db_path addr)
         | None ->
         let state =
@@ -681,9 +672,7 @@ let listen_cmd =
               in
               match Guarded_server.State.create_chase ?pool ~limits ~queue_capacity sigma db with
               | state ->
-                let s =
-                  Guarded_server.State.stats state ~connections:0 ~total_connections:0 ()
-                in
+                let s = Guarded_server.State.stats state in
                 Fmt.epr "chase mode: serving %d chase facts (%d nulls, %d derivations) from \
                          %d EDB facts@."
                   s.Guarded_server.Wire.s_facts s.Guarded_server.Wire.s_chase_nulls
@@ -737,7 +726,7 @@ let listen_cmd =
               Guarded_server.State.of_materialization ~queue_capacity m)
         in
         let srv =
-          Guarded_server.Server.listen ?snapshot ~log:(Fmt.epr "%s@.") ~workers state addr
+          Guarded_server.Server.listen ?snapshot ~log:(Fmt.epr "%s@.") state addr
         in
         let stop_requested = ref false in
         let request_stop _ = stop_requested := true in
@@ -757,10 +746,11 @@ let listen_cmd =
            `P
              "Translates THEORY once, materializes it over DATABASE (or restores a \
               $(b,--snapshot) for a warm start without re-running any fixpoint) and serves \
-              the wire protocol on a Unix socket or TCP port: one thread per connection, \
-              concurrent readers over the last committed epoch, a single writer applying \
-              update batches incrementally. With $(b,--demand), nothing is materialized: \
-              queries evaluate their own subgoals on demand and cache them. With \
+              the wire protocol on a Unix socket or TCP port: one event-loop thread for \
+              every connection answers reads from the last committed epoch, and a single \
+              writer thread applies update batches incrementally. With $(b,--demand), \
+              nothing is materialized: queries evaluate their own subgoals on demand and \
+              cache them. With \
               $(b,--chase), the restricted chase of THEORY itself is materialized and \
               served directly — no Datalog translation — which requires a terminating \
               chase (see $(b,guarded analyze)). With \
@@ -774,7 +764,7 @@ let listen_cmd =
     Term.(
       const run $ theory_arg $ db_opt_arg $ socket_arg $ host_arg $ port_arg $ snapshot_arg
       $ queue_arg $ budget_arg $ domains_arg $ demand_arg $ chase_arg $ chase_budget_arg
-      $ workers_arg $ follow_arg $ auto_promote_arg)
+      $ follow_arg $ auto_promote_arg)
 
 (* [--hammer N]: N concurrent light clients, a handful of STATS round
    trips each — the smoke-scale version of the serve bench's sweep,

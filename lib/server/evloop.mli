@@ -4,8 +4,8 @@
     on Linux), which caps a select-driven event loop far below the
     1000+ concurrent connections the serving path is benchmarked at;
     [poll] carries no such limit. The binding releases the OCaml
-    runtime lock while waiting, so the writer thread and the query
-    worker pool keep running underneath the sleeping reactor. *)
+    runtime lock while waiting, so the state's writer thread keeps
+    running underneath the sleeping reactor. *)
 
 val pollin : int
 (** Interest/readiness bit: readable (also set on error/hang-up, so a

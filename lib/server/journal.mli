@@ -15,8 +15,7 @@
     journal first, which is the safe answer after a snapshot install).
 
     Thread-safe: every operation takes the journal's own lock, so the
-    state's writer thread appends while reactor and worker threads
-    read. *)
+    state's writer thread appends while the reactor reads. *)
 
 type t
 

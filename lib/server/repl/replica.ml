@@ -169,7 +169,7 @@ let promote_locked t =
   set_fo t (Failover.step t.policy (get_fo t) Failover.Promote);
   Client.shutdown t.client
 
-let start ?pool ?(log = ignore) ?workers ?queue_capacity ?journal_max_bytes
+let start ?pool ?(log = ignore) ?queue_capacity ?journal_max_bytes
     ?(policy = Failover.default_policy) ?local ~primary addr =
   match Client.connect primary with
   | exception Unix.Unix_error (e, _, _) ->
@@ -201,7 +201,7 @@ let start ?pool ?(log = ignore) ?workers ?queue_capacity ?journal_max_bytes
     | Ok (epoch, incr) ->
       let state = State.of_materialization ?queue_capacity ?journal_max_bytes ~epoch incr in
       let server =
-        Server.listen ~log ?workers
+        Server.listen ~log
           ~role:(Server.Replica_of (Server.string_of_address primary))
           state addr
       in

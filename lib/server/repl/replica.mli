@@ -31,7 +31,6 @@ type t
 val start :
   ?pool:Guarded_par.Pool.t ->
   ?log:(string -> unit) ->
-  ?workers:int ->
   ?queue_capacity:int ->
   ?journal_max_bytes:int ->
   ?policy:Failover.policy ->

@@ -53,10 +53,8 @@ let max_pending = 4096
 
 (* Staged updates live on the connection, as reversed lists: +/-
    accumulate here in O(1) per fact, LOAD blocks are kept raw (staging
-   one is a pointer push, decoding waits for the COMMIT worker), and
-   only COMMIT materializes the {!Delta.t}. Only the reactor touches a
-   session while the connection is idle; only the owning worker while
-   it is busy. *)
+   one is a pointer push, decoding waits for the writer thread), and
+   only COMMIT hands them on. Only the reactor touches a session. *)
 type session = {
   mutable adds_rev : Atom.t list;
   mutable dels_rev : Atom.t list;
@@ -79,7 +77,7 @@ type conn = {
   rbuf : Iobuf.t;
   wbuf : Iobuf.t;
   pending : pitem Queue.t;
-  mutable busy : bool;  (** a worker owns the head request *)
+  mutable busy : bool;  (** the writer owns this connection's COMMIT *)
   mutable eof : bool;  (** no more input will be read *)
   mutable closing : bool;  (** close once [wbuf] drains *)
   mutable stalled : bool;  (** reads paused by backpressure *)
@@ -89,80 +87,42 @@ type conn = {
   session : session;
 }
 
-(* Reactor-computed gauges frozen into a STATS job at dispatch time,
-   so the worker needs no access to the connection table. *)
-type gauges = {
-  g_connections : int;
-  g_total : int;
-  g_bytes_buffered : int;
-  g_stalls : int;
-  g_load_facts : int;
-  g_role : int;
-  g_replicas : int;
-}
-
-type job = { j_conn : conn; j_req : Wire.request; j_gauges : gauges option }
-
-(* What a completion does to its connection beyond carrying the
-   response: [C_follow n] turns it into a follower streamed journal
-   records from epoch [n] on. *)
-type comp_action = C_keep | C_follow of int
-
 type t = {
   state : State.t;
   snapshot_path : string option;
   log : string -> unit;
   listener : Unix.file_descr;
   bound : address;
-  (* Self-pipe: workers and [stop] write a byte to interrupt the
-     reactor's poll — shutdown and completions never wait out a
-     timeout. *)
+  (* Self-pipe: the writer thread (commit results, epochs) and [stop]
+     write a byte to interrupt the reactor's poll — shutdown,
+     completions and parked requests never wait out a timeout. *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   (* Reactor-owned; no other thread touches these. *)
   conns : (int, conn) Hashtbl.t;
   mutable next_cid : int;
-  (* Reactor -> workers. *)
-  jobs : job Queue.t;
-  jobs_mutex : Mutex.t;
-  jobs_cond : Condition.t;
-  mutable jobs_stop : bool;
-  (* Workers -> reactor. *)
-  completions : (conn * Wire.response * comp_action) Queue.t;
-  comp_mutex : Mutex.t;
-  (* Counters readable from any thread. *)
-  metrics_mutex : Mutex.t;
-  mutable m_connections_open : int;
   mutable m_total_connections : int;
   mutable m_backpressure_stalls : int;
   mutable m_load_facts : int;
-  (* Replication: the role is read per-request and flipped by PROMOTE
-     (possibly from a signal context), [lag_source]/[promote_hook] are
-     wired by the replica controller before serving starts. *)
-  mutable m_role : role;
+  (* Writer -> reactor: COMMIT results. *)
+  completions : (conn * Wire.response) Queue.t;
+  comp_mutex : Mutex.t;
+  (* Read from other threads. The role is flipped by PROMOTE (possibly
+     from a signal context); [lag_source]/[promote_hook] are wired by
+     the replica controller before serving starts. *)
+  m_connections_open : int Atomic.t;
+  m_role : role Atomic.t;
   mutable lag_source : unit -> int;
   mutable promote_hook : unit -> unit;
   stopping : bool Atomic.t;
   mutable reactor : Thread.t option;
-  mutable workers : Thread.t list;
   stop_mutex : Mutex.t;
   mutable stopped : bool;
 }
 
 let address t = t.bound
-
-let connections t =
-  Mutex.lock t.metrics_mutex;
-  let n = t.m_connections_open in
-  Mutex.unlock t.metrics_mutex;
-  n
-
-let role t =
-  Mutex.lock t.metrics_mutex;
-  let r = t.m_role in
-  Mutex.unlock t.metrics_mutex;
-  r
-
+let connections t = Atomic.get t.m_connections_open
+let role t = Atomic.get t.m_role
 let set_lag_source t f = t.lag_source <- f
 let set_promote_hook t f = t.promote_hook <- f
 
@@ -185,23 +145,23 @@ let wake t =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
 (* Warm failover: flip a replica into a writable primary. The hook
-   (the replica controller's stop-following) runs outside the metrics
-   mutex, once, on whichever thread promoted first — the reactor for a
-   PROMOTE verb, a signal context when the primary's death is
-   detected. *)
+   (the replica controller's stop-following) runs once, on whichever
+   thread promoted first — the reactor for a PROMOTE verb, a signal
+   context when the primary's death is detected. *)
 let promote t =
-  Mutex.lock t.metrics_mutex;
-  let was_replica = match t.m_role with Replica_of _ -> true | Primary -> false in
-  t.m_role <- Primary;
-  Mutex.unlock t.metrics_mutex;
-  if was_replica then begin
+  match Atomic.exchange t.m_role Primary with
+  | Primary -> ()
+  | Replica_of _ ->
     t.promote_hook ();
     t.log "promoted to primary";
     wake t
-  end
 
 (* ------------------------------------------------------------------ *)
-(* Query evaluation (runs on worker threads)                           *)
+(* Reads, answered inline on the reactor                               *)
+
+(* Each returns [None] when the writer holds or awaits the state lock:
+   the request stays parked at the head of its connection's queue and
+   is retried once the writer wakes the reactor. *)
 
 (* [? REL(pattern)]: stream index candidates, confirm each against the
    pattern, keep the matched argument tuples. Constants-only, like
@@ -219,10 +179,10 @@ let pattern_answers incr rel pattern =
         | _ -> ());
   List.sort_uniq (List.compare Term.compare) !out
 
-let eval_query state (req : Wire.request) : Wire.response =
+let eval_query state (req : Wire.request) =
   let t0 = Unix.gettimeofday () in
   let resp =
-    State.with_backend state (fun backend ->
+    State.try_read state (fun backend ->
         match (req, backend) with
         | Wire.Query { rel; pattern = None }, State.Materialized incr ->
           Wire.Answers (Incr.answers incr ~query:rel)
@@ -248,156 +208,113 @@ let eval_query state (req : Wire.request) : Wire.response =
           Wire.Answers (List.sort_uniq (List.compare Term.compare) tuples)
         | _ -> assert false)
   in
-  State.note_query state (Unix.gettimeofday () -. t0);
+  if Option.is_some resp then State.note_query state (Unix.gettimeofday () -. t0);
   resp
 
-let save_snapshot t path =
-  let sigma, dump =
-    State.with_read t.state (fun incr -> (Incr.program incr, Incr.dump incr))
+(* The reactor's own gauges, spliced into the state's counters. *)
+let stats_reply t (s : Wire.stats) =
+  let bytes = Hashtbl.fold (fun _ c acc -> acc + Iobuf.length c.wbuf) t.conns 0 in
+  let replicas =
+    Hashtbl.fold (fun _ c acc -> if c.follow_from <> None then acc + 1 else acc) t.conns 0
   in
+  let open_ = connections t in
+  let role, lag = match role t with Primary -> (0, 0) | Replica_of _ -> (1, t.lag_source ()) in
+  Wire.Stats_reply
+    {
+      s with
+      s_connections = open_;
+      s_total_connections = t.m_total_connections;
+      s_connections_open = open_;
+      s_bytes_buffered = bytes;
+      s_backpressure_stalls = t.m_backpressure_stalls;
+      s_load_facts = t.m_load_facts;
+      s_role = role;
+      s_replicas_connected = replicas;
+      s_replication_lag_epochs = lag;
+    }
+
+let save_dump t path (sigma, dump) =
   Snapshot.save ~path sigma dump;
   t.log (Fmt.str "snapshot saved to %s (%d EDB facts)" path (Database.cardinal dump.Incr.d_edb))
 
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
+let dump_of incr = (Incr.program incr, Incr.dump incr)
 
-let run_job t (job : job) : Wire.response * comp_action =
-  match job.j_req with
-  | Wire.Query _ | Wire.Cq _ -> (eval_query t.state job.j_req, C_keep)
-  | Wire.Commit -> (
-    (* The connection is [busy] for the whole job, so the session is
-       ours alone here. Staged LOAD blocks decode now, on this worker —
-       never on the reactor — and a corrupt block fails the COMMIT and
-       discards the whole staged batch. *)
-    let s = job.j_conn.session in
-    let additions = List.rev s.adds_rev
-    and deletions = List.rev s.dels_rev
-    and loads = List.rev s.loads_rev in
-    s.adds_rev <- [];
-    s.dels_rev <- [];
-    s.loads_rev <- [];
-    let decoded =
-      List.fold_left
-        (fun acc b ->
-          match acc with
-          | Error _ -> acc
-          | Ok fss -> (
-            match Wire.facts_of_load b with
-            | Ok fs -> Ok (fs :: fss)
-            | Error msg -> Error msg))
-        (Ok []) loads
-    in
-    match decoded with
-    | Error msg -> (Wire.Failed msg, C_keep)
-    | Ok loaded_rev -> (
-      let additions = List.concat (additions :: List.rev loaded_rev) in
-      let delta = Delta.of_lists ~additions ~deletions in
-      match State.commit t.state delta with
-      | Ok r ->
-        (Wire.Committed { added = r.cr_added; removed = r.cr_removed; epoch = r.cr_epoch }, C_keep)
-      | Error msg -> (Wire.Failed msg, C_keep)))
-  | Wire.Stats ->
-    let g =
-      match job.j_gauges with
-      | Some g -> g
-      | None ->
-        {
-          g_connections = 0;
-          g_total = 0;
-          g_bytes_buffered = 0;
-          g_stalls = 0;
-          g_load_facts = 0;
-          g_role = 0;
-          g_replicas = 0;
-        }
-    in
-    ( Wire.Stats_reply
-        (State.stats t.state ~connections:g.g_connections ~total_connections:g.g_total
-           ~bytes_buffered:g.g_bytes_buffered ~backpressure_stalls:g.g_stalls
-           ~load_facts:g.g_load_facts ~role:g.g_role ~replicas_connected:g.g_replicas
-           ~replication_lag:(if g.g_role = 1 then t.lag_source () else 0)
-           ()),
-      C_keep )
-  | Wire.Snapshot path -> (
-    if State.demand_mode t.state then
-      (* Nothing is materialized, so there is no per-stratum dump to
-         persist; the EDB is the client's data, not ours to snapshot. *)
-      (Wire.Failed "snapshots are not available in demand mode", C_keep)
-    else if State.chase_mode t.state then
-      (* The chase store holds nulls, which the snapshot codec does not
-         carry; re-chasing the EDB at startup is the recovery path. *)
-      (Wire.Failed "snapshots are not available in chase mode", C_keep)
-    else
-      match (path, t.snapshot_path) with
-      | None, None ->
-        (Wire.Failed "no snapshot path configured (start with --snapshot or give one)", C_keep)
-      | Some p, _ | None, Some p -> (
-        match save_snapshot t p with
-        | () -> (Wire.Ok, C_keep)
-        | exception Sys_error m -> (Wire.Failed m, C_keep)))
-  | Wire.Follow since ->
-    if State.demand_mode t.state then
-      (Wire.Failed "replication is not available in demand mode", C_keep)
-    else if State.chase_mode t.state then
-      (Wire.Failed "replication is not available in chase mode", C_keep)
-    else
-      (* Under the shared lock the decision is consistent: the epoch
-         cannot advance while we check journal coverage or dump the
-         materialization, so the follower misses no record between its
-         base and the stream. *)
-      State.with_read t.state (fun incr ->
-          let epoch = State.epoch t.state in
-          let j = match State.journal t.state with Some j -> j | None -> assert false in
-          if since > epoch then
-            ( Wire.Failed
-                (Fmt.str "follow: resume epoch %d is ahead of this server's %d" since epoch),
-              C_keep )
-          else if since >= 0 && Journal.covers j ~since ~epoch then
-            (* Cheap path: replay from the journal alone. *)
-            (Wire.Following epoch, C_follow (since + 1))
-          else
-            (* The journal no longer reaches back to [since] (or the
-               follower holds nothing): ship a full image of this
-               epoch, then stream from the next one. *)
-            let image = Snapshot.encode (Incr.program incr) (Incr.dump incr) in
-            (* The image travels in one SNAP frame; past the wire's
-               frame limit the follower's [read_frame] would reject it
-               unread and burn its retry budget on a bootstrap that can
-               never succeed — refuse with a parseable ERROR instead.
-               64 bytes of slack covers the textual SNAP header. *)
-            if String.length image + 64 > Wire.max_frame then
-              ( Wire.Failed
-                  (Fmt.str
-                     "follow: snapshot image of %d bytes exceeds the %d-byte frame limit; \
-                      bootstrap from a file snapshot or resume from a retained journal epoch"
-                     (String.length image) Wire.max_frame),
-                C_keep )
-            else (Wire.Snap { sn_epoch = epoch; sn_bytes = image }, C_follow (epoch + 1)))
-  | Wire.Add _ | Wire.Remove _ | Wire.Load _ | Wire.Role | Wire.Promote | Wire.Quit ->
-    (* Handled inline by the reactor; never dispatched. *)
-    assert false
+let snapshot_command t path =
+  if State.demand_mode t.state then
+    (* Nothing is materialized, so there is no per-stratum dump to
+       persist; the EDB is the client's data, not ours to snapshot. *)
+    Some (Wire.Failed "snapshots are not available in demand mode")
+  else if State.chase_mode t.state then
+    (* The chase store holds nulls, which the snapshot codec does not
+       carry; re-chasing the EDB at startup is the recovery path. *)
+    Some (Wire.Failed "snapshots are not available in chase mode")
+  else
+    match (path, t.snapshot_path) with
+    | None, None ->
+      Some (Wire.Failed "no snapshot path configured (start with --snapshot or give one)")
+    | Some p, _ | None, Some p ->
+      State.try_read t.state (function
+        | State.Materialized incr -> dump_of incr
+        | State.Demand _ | State.Chase _ -> assert false)
+      |> Option.map (fun dump ->
+             (* The dump is taken under the lock, the file written after. *)
+             match save_dump t p dump with () -> Wire.Ok | exception Sys_error m -> Wire.Failed m)
 
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.jobs_mutex;
-    while Queue.is_empty t.jobs && not t.jobs_stop do
-      Condition.wait t.jobs_cond t.jobs_mutex
-    done;
-    match Queue.take_opt t.jobs with
-    | None -> Mutex.unlock t.jobs_mutex (* stopping with an empty queue *)
-    | Some job ->
-      Mutex.unlock t.jobs_mutex;
-      let resp, action =
-        try run_job t job
-        with Invalid_argument m | Failure m -> (Wire.Failed m, C_keep)
-      in
-      Mutex.lock t.comp_mutex;
-      Queue.add (job.j_conn, resp, action) t.completions;
-      Mutex.unlock t.comp_mutex;
-      wake t;
-      loop ()
-  in
-  loop ()
+let follow_command t c since =
+  if State.demand_mode t.state then
+    Some (Wire.Failed "replication is not available in demand mode")
+  else if State.chase_mode t.state then
+    Some (Wire.Failed "replication is not available in chase mode")
+  else
+    (* Under the shared lock the decision is consistent: the epoch
+       cannot advance while we check journal coverage or dump the
+       materialization, so the follower misses no record between its
+       base and the stream. *)
+    State.try_read t.state (fun backend ->
+        let incr =
+          match backend with
+          | State.Materialized i -> i
+          | State.Demand _ | State.Chase _ -> assert false
+        in
+        let epoch = State.epoch t.state in
+        let j = match State.journal t.state with Some j -> j | None -> assert false in
+        if since > epoch then
+          Wire.Failed (Fmt.str "follow: resume epoch %d is ahead of this server's %d" since epoch)
+        else if since >= 0 && Journal.covers j ~since ~epoch then begin
+          (* Cheap path: replay from the journal alone. *)
+          c.follow_from <- Some (since + 1);
+          Wire.Following epoch
+        end
+        else
+          (* The journal no longer reaches back to [since] (or the
+             follower holds nothing): ship a full image of this epoch,
+             then stream from the next one. *)
+          let image = Snapshot.encode (Incr.program incr) (Incr.dump incr) in
+          (* The image travels in one SNAP frame; past the wire's frame
+             limit the follower's [read_frame] would reject it unread
+             and burn its retry budget on a bootstrap that can never
+             succeed — refuse with a parseable ERROR instead. 64 bytes
+             of slack covers the textual SNAP header. *)
+          if String.length image + 64 > Wire.max_frame then
+            Wire.Failed
+              (Fmt.str
+                 "follow: snapshot image of %d bytes exceeds the %d-byte frame limit; \
+                  bootstrap from a file snapshot or resume from a retained journal epoch"
+                 (String.length image) Wire.max_frame)
+          else begin
+            c.follow_from <- Some (epoch + 1);
+            Wire.Snap { sn_epoch = epoch; sn_bytes = image }
+          end)
+
+let answer_read t c (req : Wire.request) =
+  try
+    match req with
+    | Wire.Query _ | Wire.Cq _ -> eval_query t.state req
+    | Wire.Stats -> Option.map (stats_reply t) (State.try_stats t.state)
+    | Wire.Snapshot path -> snapshot_command t path
+    | Wire.Follow since -> follow_command t c since
+    | _ -> assert false
+  with Invalid_argument m | Failure m -> Some (Wire.Failed m)
 
 (* ------------------------------------------------------------------ *)
 (* Reactor: connection bookkeeping                                     *)
@@ -407,9 +324,7 @@ let close_conn t c =
     c.closed <- true;
     Hashtbl.remove t.conns c.cid;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.metrics_mutex;
-    t.m_connections_open <- t.m_connections_open - 1;
-    Mutex.unlock t.metrics_mutex
+    Atomic.decr t.m_connections_open
   end
 
 (* Append one framed payload to the connection's write buffer; the
@@ -430,97 +345,113 @@ let enqueue_response c resp = enqueue_payload c (Wire.print_response resp)
 let update_stall t c =
   if (not c.stalled) && Iobuf.length c.wbuf > high_water then begin
     c.stalled <- true;
-    Mutex.lock t.metrics_mutex;
-    t.m_backpressure_stalls <- t.m_backpressure_stalls + 1;
-    Mutex.unlock t.metrics_mutex
+    t.m_backpressure_stalls <- t.m_backpressure_stalls + 1
   end
   else if c.stalled && Iobuf.length c.wbuf <= low_water then c.stalled <- false
 
-let dispatch t c req =
-  let gauges =
-    match req with
-    | Wire.Stats ->
-      let bytes = Hashtbl.fold (fun _ c acc -> acc + Iobuf.length c.wbuf) t.conns 0 in
-      let replicas =
-        Hashtbl.fold (fun _ c acc -> if c.follow_from <> None then acc + 1 else acc) t.conns 0
-      in
-      Mutex.lock t.metrics_mutex;
-      let g =
-        {
-          g_connections = t.m_connections_open;
-          g_total = t.m_total_connections;
-          g_bytes_buffered = bytes;
-          g_stalls = t.m_backpressure_stalls;
-          g_load_facts = t.m_load_facts;
-          g_role = (match t.m_role with Primary -> 0 | Replica_of _ -> 1);
-          g_replicas = replicas;
-        }
-      in
-      Mutex.unlock t.metrics_mutex;
-      Some g
-    | _ -> None
+(* Hand the session's staged batch to the writer thread; [false] when
+   its queue is full. The connection stays [busy] until the result
+   comes back through the completion queue. *)
+let submit_commit t c =
+  let s = c.session in
+  let additions = List.rev s.adds_rev
+  and deletions = List.rev s.dels_rev
+  and loads = List.rev s.loads_rev in
+  (* Runs on the writer thread, before the write lock: staged LOAD
+     blocks decode here, never on the reactor, and a corrupt block
+     fails the COMMIT and discards the whole staged batch. *)
+  let build () =
+    let rec decode acc = function
+      | [] ->
+        let additions = List.concat (additions :: List.rev acc) in
+        Stdlib.Ok (Delta.of_lists ~additions ~deletions)
+      | b :: rest -> (
+        match Wire.facts_of_load b with Ok fs -> decode (fs :: acc) rest | Error msg -> Error msg)
+    in
+    decode [] loads
   in
-  Mutex.lock t.jobs_mutex;
-  Queue.add { j_conn = c; j_req = req; j_gauges = gauges } t.jobs;
-  Condition.signal t.jobs_cond;
-  Mutex.unlock t.jobs_mutex
+  let on_done r =
+    let resp =
+      match r with
+      | Stdlib.Ok (r : State.commit_result) ->
+        Wire.Committed { added = r.cr_added; removed = r.cr_removed; epoch = r.cr_epoch }
+      | Error msg -> Wire.Failed msg
+    in
+    Mutex.lock t.comp_mutex;
+    Queue.add (c, resp) t.completions;
+    Mutex.unlock t.comp_mutex;
+    wake t
+  in
+  if State.submit t.state build on_done then begin
+    s.adds_rev <- [];
+    s.dels_rev <- [];
+    s.loads_rev <- [];
+    c.busy <- true;
+    true
+  end
+  else false
 
-(* Drain the connection's pending queue in order: staging requests are
-   answered inline, anything touching the state goes to a worker —
-   which marks the connection busy until its completion comes back, so
-   per-connection response order is submission order. *)
+(* Answer one pending item; [false] parks it at the head of the queue
+   until the writer next wakes the reactor. *)
+let handle t c = function
+  | Bad msg ->
+    enqueue_response c (Wire.Failed msg);
+    true
+  | Fatal msg ->
+    enqueue_response c (Wire.Failed msg);
+    c.closing <- true;
+    true
+  | Req req -> (
+    (* A read-only replica refuses the whole write path with a
+       redirect naming its primary; everything else serves locally. *)
+    match (req, role t) with
+    | (Wire.Add _ | Wire.Remove _ | Wire.Load _ | Wire.Commit), Replica_of addr ->
+      enqueue_response c
+        (Wire.Failed (Fmt.str "redirect %s: this server is a read-only replica" addr));
+      true
+    | Wire.Add a, Primary ->
+      (* The parser only produces ground facts, so staging is a cons. *)
+      c.session.adds_rev <- a :: c.session.adds_rev;
+      enqueue_response c Wire.Ok;
+      true
+    | Wire.Remove a, Primary ->
+      c.session.dels_rev <- a :: c.session.dels_rev;
+      enqueue_response c Wire.Ok;
+      true
+    | Wire.Load b, Primary ->
+      (* Staging keeps the block raw; the writer decodes it at COMMIT.
+         The count is the header's claim — a lying header surfaces as a
+         failed COMMIT, not a failed LOAD. *)
+      c.session.loads_rev <- b :: c.session.loads_rev;
+      t.m_load_facts <- t.m_load_facts + b.Wire.fb_count;
+      enqueue_response c (Wire.Loaded b.Wire.fb_count);
+      true
+    | Wire.Commit, Primary -> submit_commit t c
+    | Wire.Role, _ ->
+      enqueue_response c (role_reply t);
+      true
+    | Wire.Promote, _ ->
+      promote t;
+      enqueue_response c (role_reply t);
+      true
+    | Wire.Quit, _ ->
+      enqueue_response c Wire.Bye;
+      c.closing <- true;
+      true
+    | (Wire.Query _ | Wire.Cq _ | Wire.Stats | Wire.Snapshot _ | Wire.Follow _), _ -> (
+      match answer_read t c req with
+      | Some resp ->
+        enqueue_response c resp;
+        true
+      | None -> false))
+
+(* Drain the connection's pending queue in order, stopping at a parked
+   request or while the writer holds its COMMIT — so per-connection
+   response order is submission order. *)
 let process_ready t c =
-  let continue = ref true in
-  while !continue && (not c.busy) && (not c.closing) && not (Queue.is_empty c.pending) do
-    match Queue.pop c.pending with
-    | Bad msg -> enqueue_response c (Wire.Failed msg)
-    | Fatal msg ->
-      enqueue_response c (Wire.Failed msg);
-      c.closing <- true
-    | Req req -> (
-      (* A read-only replica refuses the whole write path with a
-         redirect naming its primary; everything else serves locally. *)
-      let redirect =
-        match req with
-        | Wire.Add _ | Wire.Remove _ | Wire.Load _ | Wire.Commit -> (
-          match role t with
-          | Primary -> None
-          | Replica_of addr -> Some addr)
-        | _ -> None
-      in
-      match redirect with
-      | Some addr ->
-        enqueue_response c
-          (Wire.Failed (Fmt.str "redirect %s: this server is a read-only replica" addr))
-      | None -> (
-      match req with
-      | Wire.Add a ->
-        (* The parser only produces ground facts, so staging is a cons. *)
-        c.session.adds_rev <- a :: c.session.adds_rev;
-        enqueue_response c Wire.Ok
-      | Wire.Remove a ->
-        c.session.dels_rev <- a :: c.session.dels_rev;
-        enqueue_response c Wire.Ok
-      | Wire.Load b ->
-        (* Staging keeps the block raw; the COMMIT worker decodes it.
-           The count is the header's claim — a lying header surfaces as
-           a failed COMMIT, not a failed LOAD. *)
-        c.session.loads_rev <- b :: c.session.loads_rev;
-        Mutex.lock t.metrics_mutex;
-        t.m_load_facts <- t.m_load_facts + b.Wire.fb_count;
-        Mutex.unlock t.metrics_mutex;
-        enqueue_response c (Wire.Loaded b.Wire.fb_count)
-      | Wire.Role -> enqueue_response c (role_reply t)
-      | Wire.Promote ->
-        promote t;
-        enqueue_response c (role_reply t)
-      | Wire.Quit ->
-        enqueue_response c Wire.Bye;
-        c.closing <- true
-      | Wire.Query _ | Wire.Cq _ | Wire.Commit | Wire.Stats | Wire.Snapshot _ | Wire.Follow _ ->
-        c.busy <- true;
-        dispatch t c req;
-        continue := false))
+  let parked = ref false in
+  while (not !parked) && (not c.busy) && (not c.closing) && not (Queue.is_empty c.pending) do
+    if handle t c (Queue.peek c.pending) then ignore (Queue.pop c.pending) else parked := true
   done
 
 (* Cut every complete frame off the front of the read buffer. An
@@ -592,10 +523,8 @@ let accept_ready t =
         }
       in
       Hashtbl.replace t.conns cid c;
-      Mutex.lock t.metrics_mutex;
       t.m_total_connections <- t.m_total_connections + 1;
-      t.m_connections_open <- t.m_connections_open + 1;
-      Mutex.unlock t.metrics_mutex
+      Atomic.incr t.m_connections_open
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> continue := false
     | exception Unix.Unix_error ((ECONNABORTED | EMFILE | ENFILE), _, _) -> continue := false
     | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> continue := false
@@ -615,20 +544,17 @@ let drain_wake t scratch =
 
 let drain_completions t =
   Mutex.lock t.comp_mutex;
-  let comps = Queue.fold (fun acc x -> x :: acc) [] t.completions in
+  let comps = List.of_seq (Queue.to_seq t.completions) in
   Queue.clear t.completions;
   Mutex.unlock t.comp_mutex;
   List.iter
-    (fun (c, resp, action) ->
+    (fun (c, resp) ->
       if not c.closed then begin
         c.busy <- false;
         enqueue_response c resp;
-        (match action with
-        | C_keep -> ()
-        | C_follow next -> c.follow_from <- Some next);
         process_ready t c
       end)
-    (List.rev comps)
+    comps
 
 (* Push retained journal records to every follower that is behind,
    skipping connections above the high-water mark (they resume when
@@ -697,8 +623,13 @@ let tick t scratch =
   ignore (Evloop.poll fds evs rvs (-1));
   if Atomic.get t.stopping then ()
   else begin
-    if rvs.(0) land Evloop.pollin <> 0 then drain_wake t scratch;
-    drain_completions t;
+    if rvs.(0) land Evloop.pollin <> 0 then begin
+      drain_wake t scratch;
+      drain_completions t;
+      (* Only the writer can unpark a request, and it wakes us after
+         every batch: retry what is parked behind it. *)
+      Hashtbl.iter (fun _ c -> process_ready t c) t.conns
+    end;
     if rvs.(1) land Evloop.pollin <> 0 then accept_ready t;
     List.iteri
       (fun i c ->
@@ -747,9 +678,7 @@ let reactor_loop t =
       try Unix.close c.fd with Unix.Unix_error _ -> ())
     t.conns;
   Hashtbl.reset t.conns;
-  Mutex.lock t.metrics_mutex;
-  t.m_connections_open <- 0;
-  Mutex.unlock t.metrics_mutex;
+  Atomic.set t.m_connections_open 0;
   try Unix.close t.listener with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -774,7 +703,7 @@ let bind_listener = function
     in
     (fd, Tcp (host, bound_port))
 
-let listen ?snapshot ?(log = fun _ -> ()) ?(workers = 4) ?(role = Primary) state addr =
+let listen ?snapshot ?(log = fun _ -> ()) ?(role = Primary) state addr =
   (* A client vanishing mid-reply must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   ignore (Evloop.raise_fd_limit 16384);
@@ -795,33 +724,26 @@ let listen ?snapshot ?(log = fun _ -> ()) ?(workers = 4) ?(role = Primary) state
       wake_w;
       conns = Hashtbl.create 64;
       next_cid = 0;
-      jobs = Queue.create ();
-      jobs_mutex = Mutex.create ();
-      jobs_cond = Condition.create ();
-      jobs_stop = false;
-      completions = Queue.create ();
-      comp_mutex = Mutex.create ();
-      metrics_mutex = Mutex.create ();
-      m_connections_open = 0;
       m_total_connections = 0;
       m_backpressure_stalls = 0;
       m_load_facts = 0;
-      m_role = role;
+      completions = Queue.create ();
+      comp_mutex = Mutex.create ();
+      m_connections_open = Atomic.make 0;
+      m_role = Atomic.make role;
       lag_source = (fun () -> 0);
       promote_hook = (fun () -> ());
       stopping = Atomic.make false;
       reactor = None;
-      workers = [];
       stop_mutex = Mutex.create ();
       stopped = false;
     }
   in
-  (* Each commit wakes the reactor so followers stream without
-     polling; the hook runs on the state's writer thread and only
-     writes one self-pipe byte. *)
+  (* Each epoch wakes the reactor so followers stream and parked
+     requests retry without polling; the hook runs on the state's
+     writer thread and only writes one self-pipe byte. *)
   State.set_commit_hook state (fun _ -> wake t);
   t.reactor <- Some (Thread.create reactor_loop t);
-  t.workers <- List.init (max 1 workers) (fun _ -> Thread.create worker_loop t);
   log (Fmt.str "listening on %s" (string_of_address bound));
   t
 
@@ -835,22 +757,16 @@ let stop t =
     wake t;
     Option.iter Thread.join t.reactor;
     t.reactor <- None;
-    Mutex.lock t.jobs_mutex;
-    t.jobs_stop <- true;
-    Condition.broadcast t.jobs_cond;
-    Mutex.unlock t.jobs_mutex;
-    (* Workers blocked in [State.commit] finish normally: the state's
-       writer thread lives until [State.shutdown] below. *)
-    List.iter Thread.join t.workers;
-    t.workers <- [];
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
     (match t.snapshot_path with
     | Some path when not (State.demand_mode t.state || State.chase_mode t.state) -> (
-      try save_snapshot t path
+      try save_dump t path (State.with_read t.state dump_of)
       with Sys_error m -> t.log (Fmt.str "snapshot at shutdown failed: %s" m))
     | Some _ | None -> ());
+    (* Joins the writer, so no commit callback or hook writes to the
+       self-pipe once it is closed below. *)
     State.shutdown t.state;
+    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
+    (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
     (match t.bound with
     | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Tcp _ -> ());

@@ -11,19 +11,27 @@
     (backpressure), so a slow consumer cannot balloon the server's
     memory.
 
-    Cheap requests — staging [+fact.]/[-fact.] lines, bulk [LOAD]
-    blocks, [QUIT] — are answered inline by the reactor. Anything that
-    takes the state's reader-writer lock or blocks on the commit queue
-    (queries, UCQs, [COMMIT], [STATS], [SNAPSHOT]) is handed to a small
-    worker pool so the reactor never blocks; each connection's requests
-    are still answered strictly in submission order (pipelining-safe).
-    The single-writer discipline is unchanged: commits flow through
-    {!State.commit} to the state's dedicated writer thread.
+    The server runs two threads: this reactor and the state's writer.
+    The reactor answers every request inline — staging lines, bulk
+    [LOAD] blocks (kept raw), [ROLE], [QUIT], and the reads: queries,
+    UCQs, [STATS], [SNAPSHOT], [FOLLOW]. It never blocks on the state
+    lock: a read tries {!State.try_read}, and while the writer holds or
+    awaits the lock the request stays parked at the head of its
+    connection's queue until the writer's wake-up. [COMMIT] goes to
+    the writer through {!State.submit} (decoding staged [LOAD] blocks
+    there); the connection waits until the result comes back through
+    the self-pipe, and a full commit queue parks the [COMMIT] like a
+    read. Each connection's requests are answered strictly in
+    submission order (pipelining-safe).
+
+    The trade-off: a read runs to completion on the reactor, so a long
+    UCQ, a demand-mode cache miss or a [SNAPSHOT] delays every other
+    connection until it finishes.
 
     {!stop} wakes the reactor through its self-pipe — shutdown is
     immediate, with no polling delay — closes the listener and every
-    connection, joins the workers, fails pending commits and saves the
-    snapshot if configured. *)
+    connection, saves the snapshot if configured and fails pending
+    commits. *)
 
 type address =
   | Unix_socket of string  (** path; unlinked on [listen] and [stop] *)
@@ -50,18 +58,19 @@ type t
 val listen :
   ?snapshot:string ->
   ?log:(string -> unit) ->
-  ?workers:int ->
   ?role:role ->
   State.t ->
   address ->
   t
-(** Binds, starts the reactor and [workers] request threads (default
-    4, clamped to [>= 1]), returns immediately. [snapshot] is the
-    default path for the [SNAPSHOT] command (with no argument) and is
-    written once more during {!stop}. [role] (default {!Primary})
-    makes the server refuse writes with a redirect when a replica.
-    [log] receives one line per lifecycle event (default: drop); it
-    may be called from the reactor or a worker thread. *)
+(** Binds, starts the reactor thread and returns immediately; the
+    state's writer thread applies the commits. Takes over the state's
+    commit hook (see {!State.set_commit_hook}) to wake the reactor.
+    [snapshot] is the default path for the [SNAPSHOT] command (with no
+    argument) and is written once more during {!stop}. [role] (default
+    {!Primary}) makes the server refuse writes with a redirect when a
+    replica. [log] receives one line per lifecycle event (default:
+    drop); it may be called from the reactor or the caller of
+    {!promote} or {!stop}. *)
 
 val address : t -> address
 (** The bound address — with [Tcp (_, 0)], the actual port. *)
@@ -88,6 +97,7 @@ val set_lag_source : t -> (unit -> int) -> unit
 
 val stop : t -> unit
 (** Graceful shutdown: wake the reactor, stop accepting, close live
-    connections, join reactor and workers, fail pending commits, save
-    the snapshot if configured. Idempotent; safe to call from a
-    signal-triggered context. *)
+    connections, join the reactor, save the snapshot if configured,
+    then shut the state down (failing pending commits, joining the
+    writer). Idempotent; safe to call from a signal-triggered
+    context. *)

@@ -17,10 +17,11 @@ type commit_result = {
   cr_epoch : int;
 }
 
-(* A submitted batch and the cell its submitter waits on. *)
+(* A submitted batch: [p_delta] builds it on the writer thread (so
+   decoding stays off the submitter's), [p_done] receives the result. *)
 type pending = {
-  p_delta : Delta.t;
-  mutable p_result : (commit_result, string) result option;
+  p_delta : unit -> (Delta.t, string) result;
+  p_done : (commit_result, string) result -> unit;
 }
 
 (* Latency reservoir: the last [cap] samples, plus a running count.
@@ -121,6 +122,14 @@ let with_backend t f =
   read_lock t;
   Fun.protect ~finally:(fun () -> read_unlock t) (fun () -> f t.backend)
 
+let try_read t f =
+  Mutex.lock t.mutex;
+  let free = not (t.writer_active || t.writer_waiting) in
+  if free then t.readers <- t.readers + 1;
+  Mutex.unlock t.mutex;
+  if free then Some (Fun.protect ~finally:(fun () -> read_unlock t) (fun () -> f t.backend))
+  else None
+
 let with_read t f =
   with_backend t (function
     | Materialized incr -> f incr
@@ -149,7 +158,7 @@ let write_unlock_locked t =
    recomputes every stratum from it, restoring the invariants with the
    batch applied. Only if even that fails is the error surfaced with
    the state possibly stale. *)
-let apply_one t (p : pending) =
+let apply_one t (p : pending) delta =
   Mutex.lock t.mutex;
   write_lock_locked t;
   Mutex.unlock t.mutex;
@@ -157,7 +166,7 @@ let apply_one t (p : pending) =
   let result =
     match t.backend with
     | Materialized incr -> (
-      match Incr.apply incr p.p_delta with
+      match Incr.apply incr delta with
       | res ->
         Stdlib.Ok { cr_added = res.Incr.res_added; cr_removed = res.Incr.res_removed; cr_epoch = 0 }
       | exception e -> (
@@ -170,7 +179,7 @@ let apply_one t (p : pending) =
     | Demand d -> (
       (* No derived state to corrupt: [Demand.apply] only mutates the
          EDB and evicts cache entries, so there is no recovery path. *)
-      match Demand.apply d p.p_delta with
+      match Demand.apply d delta with
       | res ->
         Stdlib.Ok
           { cr_added = res.Demand.res_added; cr_removed = res.Demand.res_removed; cr_epoch = 0 }
@@ -179,7 +188,7 @@ let apply_one t (p : pending) =
       (* [Chase_mat.apply] builds the new chase on the side and installs
          it atomically, so a failed batch leaves the served state
          unchanged — no recovery needed. *)
-      match Chase_mat.apply c p.p_delta with
+      match Chase_mat.apply c delta with
       | res ->
         Stdlib.Ok
           {
@@ -201,12 +210,14 @@ let apply_one t (p : pending) =
      batch to the EDB (fallback recompute, or the incremental mutation
      that preceded the cascade), so a follower replaying this record
      converges on the same store. *)
-  Option.iter (fun j -> Journal.append j ~epoch:committed_epoch p.p_delta) t.journal;
+  Option.iter (fun j -> Journal.append j ~epoch:committed_epoch delta) t.journal;
   reservoir_add t.commit_lat dt;
-  p.p_result <-
-    Some (match result with Stdlib.Ok r -> Stdlib.Ok { r with cr_epoch = t.epoch } | Error _ as e -> e);
   write_unlock_locked t;
   Mutex.unlock t.mutex;
+  p.p_done
+    (match result with
+    | Stdlib.Ok r -> Stdlib.Ok { r with cr_epoch = committed_epoch }
+    | Error _ as e -> e);
   t.on_commit committed_epoch
 
 let writer_loop t =
@@ -220,7 +231,13 @@ let writer_loop t =
       Condition.broadcast t.cond;
       (* a queue slot freed: unblock a backpressured submitter *)
       Mutex.unlock t.mutex;
-      apply_one t p;
+      (* Build the batch before taking the write lock: decoding staged
+         blocks holds up no reader. A batch that fails to build creates
+         no epoch. *)
+      (match p.p_delta () with
+      | Stdlib.Ok delta -> apply_one t p delta
+      | Error _ as e -> p.p_done e
+      | exception (Invalid_argument m | Failure m) -> p.p_done (Error m));
       loop ()
     | None ->
       (* stopping with an empty queue *)
@@ -228,28 +245,38 @@ let writer_loop t =
   in
   loop ()
 
-let commit t delta =
-  let p = { p_delta = delta; p_result = None } in
+let submit t build on_done =
   Mutex.lock t.mutex;
-  while Queue.length t.queue >= t.capacity && not t.stopping do
-    Condition.wait t.cond t.mutex
-  done;
-  if t.stopping then begin
-    Mutex.unlock t.mutex;
-    Error "server is shutting down"
-  end
-  else begin
-    Queue.add p t.queue;
-    Condition.broadcast t.cond;
-    while p.p_result = None && not (t.stopping && Queue.is_empty t.queue && not t.writer_active) do
+  let stopping = t.stopping in
+  let full = (not stopping) && Queue.length t.queue >= t.capacity in
+  if not (stopping || full) then begin
+    Queue.add { p_delta = build; p_done = on_done } t.queue;
+    Condition.broadcast t.cond
+  end;
+  Mutex.unlock t.mutex;
+  if stopping then on_done (Error "server is shutting down");
+  not full
+
+let commit t delta =
+  let result = ref None in
+  let wait_until ready =
+    Mutex.lock t.mutex;
+    while not (ready ()) do
       Condition.wait t.cond t.mutex
     done;
-    let r =
-      match p.p_result with Some r -> r | None -> Error "server is shutting down"
-    in
-    Mutex.unlock t.mutex;
-    r
-  end
+    Mutex.unlock t.mutex
+  in
+  let on_done r =
+    Mutex.lock t.mutex;
+    result := Some r;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.mutex
+  in
+  while not (submit t (fun () -> Stdlib.Ok delta) on_done) do
+    wait_until (fun () -> t.stopping || Queue.length t.queue < t.capacity)
+  done;
+  wait_until (fun () -> Option.is_some !result);
+  Option.get !result
 
 (* ------------------------------------------------------------------ *)
 (* Construction, metrics, shutdown                                     *)
@@ -311,7 +338,8 @@ let install t incr ~epoch =
   t.epoch <- epoch;
   Option.iter Journal.clear t.journal;
   write_unlock_locked t;
-  Mutex.unlock t.mutex
+  Mutex.unlock t.mutex;
+  t.on_commit epoch
 
 let note_query t dt =
   Mutex.lock t.mutex;
@@ -319,34 +347,25 @@ let note_query t dt =
   reservoir_add t.query_lat dt;
   Mutex.unlock t.mutex
 
-let stats t ~connections ~total_connections ?(bytes_buffered = 0) ?(backpressure_stalls = 0)
-    ?(load_facts = 0) ?(role = 0) ?(replicas_connected = 0) ?(replication_lag = 0) () =
-  (* Cardinalities are read under the shared lock (the writer may be
-     mid-batch), counters under the mutex. In demand mode the resident
-     store is the raw EDB and [facts] counts it; the materialization
-     cardinality does not exist. *)
-  let facts, edb_facts, relations, index_runs, storage_bytes, cache, chase =
-    with_backend t (fun backend ->
-        let db, edb, cache, chase =
-          match backend with
-          | Materialized incr -> (Incr.db incr, Incr.edb incr, None, None)
-          | Demand d -> (Demand.edb d, Demand.edb d, Some (Demand.cache_stats d), None)
-          | Chase c -> (Chase_mat.db c, Chase_mat.edb c, None, Some (Chase_mat.stats c))
-        in
-        let storage = Database.storage_stats db in
-        let runs, bytes =
-          List.fold_left
-            (fun (r, b) (st : Database.rel_stats) -> (r + st.rs_runs, b + st.rs_bytes))
-            (0, 0) storage
-        in
-        ( Database.cardinal db,
-          Database.cardinal edb,
-          List.length storage,
-          runs,
-          bytes,
-          cache,
-          chase ))
+(* Called holding the shared lock (the writer may otherwise be
+   mid-batch); counters are read under the mutex. In demand mode the
+   resident store is the raw EDB and [facts] counts it; the
+   materialization cardinality does not exist. *)
+let stats_in t backend =
+  let db, edb, cache, chase =
+    match backend with
+    | Materialized incr -> (Incr.db incr, Incr.edb incr, None, None)
+    | Demand d -> (Demand.edb d, Demand.edb d, Some (Demand.cache_stats d), None)
+    | Chase c -> (Chase_mat.db c, Chase_mat.edb c, None, Some (Chase_mat.stats c))
   in
+  let storage = Database.storage_stats db in
+  let index_runs, storage_bytes =
+    List.fold_left
+      (fun (r, b) (st : Database.rel_stats) -> (r + st.rs_runs, b + st.rs_bytes))
+      (0, 0) storage
+  in
+  let facts = Database.cardinal db and edb_facts = Database.cardinal edb in
+  let relations = List.length storage in
   let heap_kb = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) / 1024 in
   Mutex.lock t.mutex;
   let s =
@@ -357,12 +376,12 @@ let stats t ~connections ~total_connections ?(bytes_buffered = 0) ?(backpressure
       s_queries = t.queries;
       s_batches = t.commit_lat.count;
       s_queue_depth = Queue.length t.queue;
-      s_connections = connections;
-      s_total_connections = total_connections;
-      s_connections_open = connections;
-      s_bytes_buffered = bytes_buffered;
-      s_backpressure_stalls = backpressure_stalls;
-      s_load_facts = load_facts;
+      s_connections = 0;
+      s_total_connections = 0;
+      s_connections_open = 0;
+      s_bytes_buffered = 0;
+      s_backpressure_stalls = 0;
+      s_load_facts = 0;
       s_query_p50_us = reservoir_percentile t.query_lat 0.50;
       s_query_p95_us = reservoir_percentile t.query_lat 0.95;
       s_commit_p50_us = reservoir_percentile t.commit_lat 0.50;
@@ -383,25 +402,30 @@ let stats t ~connections ~total_connections ?(bytes_buffered = 0) ?(backpressure
       s_chase_nulls = (match chase with Some c -> c.Chase_mat.st_nulls | None -> 0);
       s_chase_derivations =
         (match chase with Some c -> c.Chase_mat.st_derivations | None -> 0);
-      s_role = role;
-      s_replicas_connected = replicas_connected;
-      s_replication_lag_epochs = replication_lag;
+      s_role = 0;
+      s_replicas_connected = 0;
+      s_replication_lag_epochs = 0;
       s_journal_bytes = (match t.journal with Some j -> Journal.bytes j | None -> 0);
     }
   in
   Mutex.unlock t.mutex;
   s
 
+let stats t = with_backend t (stats_in t)
+let try_stats t = try_read t (stats_in t)
+
 let shutdown t =
   Mutex.lock t.mutex;
   if not t.stopping then begin
     t.stopping <- true;
-    (* Fail whatever is still queued; the writer exits once empty. *)
-    Queue.iter (fun p -> p.p_result <- Some (Error "server is shutting down")) t.queue;
-    Queue.clear t.queue;
     Condition.broadcast t.cond
   end;
+  (* Fail whatever is still queued, outside the lock (the callbacks may
+     take it); the writer exits once the queue is empty. *)
+  let queued = List.of_seq (Queue.to_seq t.queue) in
+  Queue.clear t.queue;
   let w = t.writer in
   t.writer <- None;
   Mutex.unlock t.mutex;
+  List.iter (fun p -> p.p_done (Error "server is shutting down")) queued;
   Option.iter Thread.join w

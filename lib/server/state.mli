@@ -2,18 +2,19 @@
     multi-reader discipline.
 
     A {!t} wraps a {!backend} — a maintained materialization
-    ({!Guarded_incr.Incr.t}) or the demand-driven evaluator
-    ({!Guarded_incr.Demand.t}) — so that many connection threads can
-    answer queries while update batches commit:
+    ({!Guarded_incr.Incr.t}), the demand-driven evaluator
+    ({!Guarded_incr.Demand.t}) or the finite chase — so that queries
+    are answered while update batches commit:
 
-    - {b Readers} take a shared lock ({!with_read}) and always observe
-      the last committed epoch — the writer holds the lock exclusively
-      for the whole batch, so no reader ever sees a half-applied
-      commit.
-    - {b One writer}: a dedicated thread owns all mutations. {!commit}
-      enqueues the batch on a bounded queue (admission control — when
-      the queue is full the submitting connection blocks, which is the
-      backpressure signal) and waits for the writer to apply it.
+    - {b Readers} take a shared lock ({!with_backend}, or the
+      non-blocking {!try_read}) and always observe the last committed
+      epoch — the writer holds the lock exclusively for the whole
+      batch, so no reader ever sees a half-applied commit.
+    - {b One writer}: a dedicated thread owns all mutations. {!submit}
+      puts a batch on a bounded queue (admission control — a full queue
+      refuses it, which is the backpressure signal) and the writer
+      reports the result through a callback; {!commit} is the blocking
+      form.
     - {b Atomicity}: a batch whose incremental application dies halfway
       is recovered by a from-scratch stratum recompute
       ({!Guarded_incr.Incr.refresh}) over the already-updated EDB
@@ -94,14 +95,24 @@ val journal : t -> Journal.t option
     by bytes. [None] in demand mode. *)
 
 val set_commit_hook : t -> (int -> unit) -> unit
-(** [f epoch] runs on the writer thread after each commit, outside
-    every lock — the reactor registers a wake-up here so followers are
-    streamed to without polling. Keep it cheap and non-blocking. *)
+(** [f epoch] runs after each commit on the writer thread, and after
+    {!install} on its caller's, outside every lock — the reactor
+    registers a wake-up here so followers are streamed to and parked
+    requests retried without polling. Keep it cheap and
+    non-blocking. *)
 
 val with_backend : t -> (backend -> 'a) -> 'a
 (** Runs the callback holding the shared lock: the backend is at the
     last committed epoch and cannot change underneath. The callback
-    must not mutate it, and must not call {!commit} (lock-ordering). *)
+    must not mutate it, and must not call {!commit} or {!with_backend}
+    (lock-ordering: a waiting writer blocks new readers). *)
+
+val try_read : t -> (backend -> 'a) -> 'a option
+(** {!with_backend} without waiting: [None] when the writer holds the
+    lock or is waiting for it. The writer calls the commit hook after
+    it releases the lock, so a caller that got [None] retries on that
+    signal. Same rules for the callback, except that it may call
+    [try_read]. *)
 
 val with_read : t -> (Guarded_incr.Incr.t -> 'a) -> 'a
 (** {!with_backend} restricted to materialized serving — the callers
@@ -115,11 +126,25 @@ type commit_result = {
   cr_epoch : int;  (** the epoch this batch created *)
 }
 
+val submit :
+  t ->
+  (unit -> (Guarded_incr.Delta.t, string) result) ->
+  ((commit_result, string) result -> unit) ->
+  bool
+(** [submit t build on_done] queues one batch without waiting; [false]
+    when the commit queue is full (nothing is queued — retry after the
+    next commit hook). The writer thread runs [build] before it takes
+    the write lock — the place for expensive decoding — then applies
+    the batch and calls [on_done] outside every lock, before the
+    commit hook. A [build] error (or [Invalid_argument]/[Failure])
+    goes to [on_done] and creates no epoch. After {!shutdown},
+    [on_done] gets an [Error] at once, on the caller's thread. *)
+
 val commit : t -> Guarded_incr.Delta.t -> (commit_result, string) result
-(** Submits one batch and blocks until the writer applied it. Blocks
-    earlier when the commit queue is full (backpressure). [Error]
-    carries the reason when the batch could not be applied cleanly;
-    the state is still consistent afterwards. *)
+(** {!submit}, then block until the writer applied the batch; waits
+    for a free slot while the queue is full. [Error] carries the
+    reason when the batch could not be applied cleanly; the state is
+    still consistent afterwards. *)
 
 val queue_depth : t -> int
 val queue_capacity : t -> int
@@ -128,21 +153,14 @@ val note_query : t -> float -> unit
 (** Record one served query and its latency in seconds; feeds the
     [STATS] percentiles. *)
 
-val stats :
-  t ->
-  connections:int ->
-  total_connections:int ->
-  ?bytes_buffered:int ->
-  ?backpressure_stalls:int ->
-  ?load_facts:int ->
-  ?role:int ->
-  ?replicas_connected:int ->
-  ?replication_lag:int ->
-  unit ->
-  Wire.stats
-(** A consistent counter snapshot, with the caller's connection gauges
-    and event-loop counters spliced in (the reactor owns those; they
-    default to zero for callers without one). *)
+val stats : t -> Wire.stats
+(** A consistent counter snapshot, taken under the shared lock. The
+    gauges the reactor owns (connections, buffered bytes, stalls,
+    [LOAD] facts, role, replication) read zero; the server fills them
+    in. *)
+
+val try_stats : t -> Wire.stats option
+(** {!stats} through {!try_read}: [None] instead of waiting. *)
 
 val shutdown : t -> unit
 (** Drains nothing: pending commits are failed with an error, the

@@ -281,9 +281,9 @@ let parse_int what s =
 
 (* [LOAD <n>\n<codec fact block>]: the payload is binary past the
    header line, so it must be dissected before any trimming. Only the
-   header is validated here — the block itself is decoded at COMMIT, in
-   a worker thread, so a multi-megabyte block never stalls the reactor
-   (see {!facts_of_load}). *)
+   header is validated here — the block itself is decoded at COMMIT, on
+   the state's writer thread, so a multi-megabyte block never stalls
+   the reactor (see {!facts_of_load}). *)
 let parse_load payload =
   match String.index_opt payload '\n' with
   | None -> Error "load: expected LOAD <count>, a newline, then the binary fact block"

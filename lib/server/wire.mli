@@ -55,7 +55,8 @@
     line), so a 100k-fact EDB stages without 100k lines of text
     parsing. Only the header is validated on receipt — staging a block
     is a copy, and decoding happens inside [COMMIT] (off the event
-    loop, in a worker thread). The staged facts join the connection's
+    loop, on the state's writer thread, before it takes the write
+    lock). The staged facts join the connection's
     pending batch exactly as that many [+fact.] lines would; a corrupt
     or non-ground block therefore surfaces as an [ERROR] reply to the
     [COMMIT], which discards the whole staged batch and leaves the
@@ -205,8 +206,8 @@ val load_of_facts : Atom.t list -> request
 val facts_of_load : fact_block -> (Atom.t list, string) result
 (** Decodes a staged block back into its facts; [Error] on a truncated
     or corrupt block, on trailing bytes, or on a non-ground fact. This
-    is the deferred half of [LOAD] — the server calls it from the
-    worker that executes the [COMMIT]. *)
+    is the deferred half of [LOAD] — the server calls it on the state's
+    writer thread when the [COMMIT] runs. *)
 
 val print_response : response -> string
 val parse_response : string -> (response, string) result

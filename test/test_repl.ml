@@ -411,7 +411,7 @@ let prop_bootstrap_equivalence =
    equal the primary. *)
 let run_cluster_case ?pool (sigma, db0, schedules) =
   let st = State.create ?pool sigma db0 in
-  let srv = Server.listen ~workers:2 st (Server.Unix_socket (fresh_sock ())) in
+  let srv = Server.listen st (Server.Unix_socket (fresh_sock ())) in
   let r1 = start_replica srv in
   let r2 = start_replica srv in
   let finally () =

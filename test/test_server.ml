@@ -722,7 +722,7 @@ let test_load_demand () =
   Alcotest.(check int) "same answer count" (List.length (answers false)) (List.length (answers true));
   Alcotest.(check bool) "same answers" true (answers false = answers true)
 
-(* A LOAD block is decoded by the COMMIT worker: a lying header or a
+(* A LOAD block is decoded by the writer at COMMIT: a lying header or a
    corrupt block answers LOADED at staging time but fails the COMMIT,
    discards the whole staged batch and leaves the connection usable. *)
 let test_load_corrupt_commit () =
@@ -753,6 +753,136 @@ let test_load_corrupt_commit () =
           | Wire.Failed _ -> ()
           | _ -> Alcotest.fail "expected the COMMIT to reject the non-ground block"))
 
+(* ------------------------------------------------------------------ *)
+(* The reactor never waits on the state lock                           *)
+
+(* All requests in one write, so the reactor reads them together. *)
+let send_all fd reqs =
+  let bytes = String.concat "" (List.map (fun r -> frame (Wire.print_request r)) reqs) in
+  let n = String.length bytes in
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.write_substring fd bytes !off (n - !off)
+  done
+
+let send fd req = send_all fd [ req ]
+
+(* The next reply on [fd]; fails instead of hanging when none comes. *)
+let recv_within fd =
+  match Unix.select [ fd ] [] [] 10. with
+  | [], _, _ -> Alcotest.fail "no reply within 10 s"
+  | _ -> (
+    match Wire.read_frame fd with
+    | None -> Alcotest.fail "connection closed"
+    | Some payload -> (
+      match Wire.parse_response payload with Ok r -> r | Error m -> Alcotest.fail m))
+
+let has_reply fd = match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true
+
+let wait_until what cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting until %s" what;
+    Thread.delay 0.001
+  done
+
+(* The writer holds or awaits the state lock. *)
+let writer_busy st = State.try_read st ignore = None
+
+let with_conns srv n f =
+  let fds = List.init n (fun _ -> raw_connect (Server.address srv)) in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+    (fun () -> f fds)
+
+(* While connection A's large LOAD + COMMIT sits with the writer (the
+   test holds a shared lock, so the writer waits for it), connection B
+   gets its ROLE and staging replies at once; its query parks until A's
+   batch is in and then sees it. *)
+let test_parked_read () =
+  with_state_server path_sigma "e(a, b)." (fun st srv ->
+      with_conns srv 2 (function
+        | [ a; b ] ->
+          let n = 20_000 in
+          send a (Wire.load_of_facts (List.init n (fun i -> atom (Fmt.str "e(x%d, y%d)" i i))));
+          (match recv_within a with
+          | Wire.Loaded k -> Alcotest.(check int) "LOADED" n k
+          | _ -> Alcotest.fail "expected LOADED");
+          State.with_backend st (fun _ ->
+              send a Wire.Commit;
+              wait_until "the writer awaits the lock with A's batch" (fun () -> writer_busy st);
+              (* one write: the query is tried in the same pass that
+                 answers ROLE and the staging line *)
+              send_all b
+                [
+                  Wire.Role;
+                  Wire.Add (atom "e(c, d)");
+                  Wire.Query { rel = "path"; pattern = None };
+                ];
+              (match recv_within b with
+              | Wire.Role_reply _ -> ()
+              | _ -> Alcotest.fail "expected B's ROLE reply");
+              (match recv_within b with Wire.Ok -> () | _ -> Alcotest.fail "expected B's OK");
+              Alcotest.(check bool) "A's COMMITTED not yet sent" false (has_reply a);
+              Alcotest.(check bool) "B's query parked" false (has_reply b));
+          (match recv_within a with
+          | Wire.Committed { epoch; _ } -> Alcotest.(check int) "A's epoch" 1 epoch
+          | Wire.Failed m -> Alcotest.fail m
+          | _ -> Alcotest.fail "expected A's COMMITTED");
+          (match recv_within b with
+          | Wire.Answers tuples ->
+            Alcotest.(check int) "B sees A's batch" (n + 1) (List.length tuples)
+          | _ -> Alcotest.fail "expected B's answers")
+        | _ -> assert false))
+
+(* A full commit queue parks COMMITs instead of failing them: with room
+   for one batch and the writer held on another, 8 connections commit
+   at once and every one gets its own epoch. *)
+let test_parked_commit () =
+  let sock = Filename.temp_file "guarded" ".sock" in
+  Sys.remove sock;
+  let st = State.create ~queue_capacity:1 (theory path_sigma) (db "e(a, b).") in
+  let srv = Server.listen st (Server.Unix_socket sock) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      with_conns srv 9 (fun all ->
+          let probe = List.hd all and fds = List.tl all in
+          State.with_backend st (fun _ ->
+              List.iteri
+                (fun i fd ->
+                  send_all fd [ Wire.Add (atom (Fmt.str "e(k%d, l%d)" i i)); Wire.Commit ])
+                fds;
+              wait_until "the writer holds a batch" (fun () -> writer_busy st);
+              (* Sent after every COMMIT, so answered in a pass that
+                 has seen them all: at most one sits with the writer and
+                 one in the queue, the rest are parked. *)
+              send probe Wire.Role;
+              (match recv_within probe with
+              | Wire.Role_reply _ -> ()
+              | _ -> Alcotest.fail "expected the probe's ROLE reply");
+              List.iter
+                (fun fd ->
+                  match recv_within fd with Wire.Ok -> () | _ -> Alcotest.fail "expected OK")
+                fds;
+              Alcotest.(check bool) "no COMMIT answered yet" false (List.exists has_reply fds));
+          let epochs =
+            List.map
+              (fun fd ->
+                match recv_within fd with
+                | Wire.Committed { epoch; _ } -> epoch
+                | Wire.Failed m -> Alcotest.fail m
+                | _ -> Alcotest.fail "expected COMMITTED")
+              fds
+          in
+          Alcotest.(check (list int)) "epochs 1..8 once each" (List.init 8 succ)
+            (List.sort compare epochs);
+          let fd = List.hd fds in
+          send fd (Wire.Query { rel = "path"; pattern = None });
+          match recv_within fd with
+          | Wire.Answers tuples -> Alcotest.(check int) "read afterwards" 9 (List.length tuples)
+          | _ -> Alcotest.fail "expected answers"))
+
 let suite =
   [
     Alcotest.test_case "wire: request round-trips" `Quick test_wire_requests;
@@ -768,6 +898,8 @@ let suite =
     Alcotest.test_case "server: frame rejection" `Quick test_frame_rejection;
     Alcotest.test_case "server: LOAD = text ingest (demand)" `Quick test_load_demand;
     Alcotest.test_case "server: corrupt LOAD fails the COMMIT" `Quick test_load_corrupt_commit;
+    Alcotest.test_case "server: reads park behind the writer" `Quick test_parked_read;
+    Alcotest.test_case "server: a full commit queue parks COMMIT" `Quick test_parked_commit;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
