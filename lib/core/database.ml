@@ -22,9 +22,17 @@
     see the old complete snapshot or the new one, never a torn state.
     As before, additions made during a candidate iteration are not
     visited (runs are snapshotted at lookup time), and {!remove} must
-    not run during an iteration: a removal swap-deletes the row out of
-    every column and bumps the relation version, invalidating all of
-    its runs (they rebuild lazily on next use).
+    not run during an iteration.
+
+    Removal is a tombstone: the row stays in its columns and is marked
+    dead in the relation's liveness bytes, so the removal moves no row
+    and throws away no run. The first lookup of a position after removals
+    purges its runs with one k-way merge ({!Intrun.merge_filter}) that
+    drops the dead rows, so runs only ever hold live rows and every
+    index-driven count and probe stays exact; column scans skip dead
+    rows. The removal that leaves a quarter of a relation's rows dead
+    compacts it in place — the one operation that renumbers rows, so
+    it bumps the relation version and the runs rebuild lazily.
 
     For rollback, every database carries a monotone mutation {!epoch};
     with {!enable_journal} the inverse of each mutation is also logged,
@@ -37,19 +45,24 @@
 module Int_tbl = Hashtbl.Make (Int)
 
 (* Immutable index snapshot for one column: the sorted runs (newest
-   first, strictly increasing lengths), how many rows they cover, and
-   the relation version they were built against. *)
+   first, strictly increasing lengths, live rows only), how many rows
+   they cover, and the relation version and dead-row count they were
+   built against. *)
 type ixstate = {
   ix_runs : int array list;
   ix_flushed : int;
   ix_version : int;
+  ix_dead : int;
 }
 
-let empty_ix = { ix_runs = []; ix_flushed = 0; ix_version = 0 }
+let empty_ix = { ix_runs = []; ix_flushed = 0; ix_version = 0; ix_dead = 0 }
 
-(* Columnar store of one relation. [r_atoms]/[r_cols] share capacity;
-   rows [0, r_rows) are live. [r_version] counts removals: a removal
-   renumbers a row, so every run referencing rows is stale after it. *)
+(* Columnar store of one relation. [r_atoms]/[r_cols]/[r_live] share
+   capacity; rows [0, r_rows) are in use, of which [r_dead] are
+   tombstones (live byte 0), always fewer than a quarter of them.
+   [r_dead] only grows between compactions; [r_version] counts
+   compactions, the only renumbering of rows, so a run built under an
+   older version is stale. *)
 type rel = {
   r_id : int;  (** interned {!Atom.rel_id} *)
   r_width : int;  (** term positions: annotation slots + arguments *)
@@ -57,6 +70,8 @@ type rel = {
   mutable r_atoms : Atom.t array;
   mutable r_cols : int array array;
   mutable r_rows : int;
+  mutable r_live : Bytes.t;  (** per row: '\001' live, '\000' dead *)
+  mutable r_dead : int;
   r_rowid : int Atom.Tbl.t;  (** fact -> row index *)
   r_ix : ixstate Atomic.t array;  (** one per position *)
   r_lock : Mutex.t;  (** serializes index flushes *)
@@ -102,11 +117,17 @@ let rel_create atom =
     r_atoms = [||];
     r_cols = Array.init width (fun _ -> [||]);
     r_rows = 0;
+    r_live = Bytes.empty;
+    r_dead = 0;
     r_rowid = Atom.Tbl.create 32;
     r_ix = Array.init width (fun _ -> Atomic.make empty_ix);
     r_lock = Mutex.create ();
     r_version = 0;
   }
+
+let is_live r row = Bytes.get r.r_live row <> '\000'
+
+let live_rows r = r.r_rows - r.r_dead
 
 let rel_grow r =
   let cap = max 8 (2 * Array.length r.r_atoms) in
@@ -117,13 +138,41 @@ let rel_grow r =
     let col = Array.make cap 0 in
     Array.blit r.r_cols.(p) 0 col 0 r.r_rows;
     r.r_cols.(p) <- col
-  done
+  done;
+  let live = Bytes.make cap '\000' in
+  Bytes.blit r.r_live 0 live 0 r.r_rows;
+  r.r_live <- live
+
+(* Slide the live rows down over the tombstones, in place: removals
+   never run during an iteration, so nothing holds a row id across
+   this. The one operation that renumbers rows: the version moves and
+   every run rebuilds lazily. *)
+let rel_compact r =
+  let j = ref 0 in
+  for row = 0 to r.r_rows - 1 do
+    if is_live r row then begin
+      if !j < row then begin
+        let a = r.r_atoms.(row) in
+        r.r_atoms.(!j) <- a;
+        for p = 0 to r.r_width - 1 do
+          r.r_cols.(p).(!j) <- r.r_cols.(p).(row)
+        done;
+        Atom.Tbl.replace r.r_rowid a !j
+      end;
+      incr j
+    end
+  done;
+  Bytes.fill r.r_live 0 !j '\001';
+  r.r_rows <- !j;
+  r.r_dead <- 0;
+  r.r_version <- r.r_version + 1
 
 let rel_add r atom =
   if r.r_rows = Array.length r.r_atoms then begin
     if Array.length r.r_atoms = 0 then begin
       r.r_atoms <- Array.make 8 atom;
-      r.r_cols <- Array.init r.r_width (fun _ -> Array.make 8 0)
+      r.r_cols <- Array.init r.r_width (fun _ -> Array.make 8 0);
+      r.r_live <- Bytes.make 8 '\000'
     end
     else rel_grow r
   end;
@@ -133,51 +182,69 @@ let rel_add r atom =
   for p = 0 to r.r_width - 1 do
     r.r_cols.(p).(row) <- ids.(p)
   done;
+  Bytes.set r.r_live row '\001';
   Atom.Tbl.replace r.r_rowid atom row;
   r.r_rows <- row + 1
 
-(* Swap-remove: the last row takes the victim's slot, in every column.
-   O(width); renumbers one row, so the sorted runs are all stale. *)
+(* Tombstone: no row moves, so no run goes stale; the next lookup of
+   each position purges the dead row from its runs. The removal that
+   makes a quarter of the rows dead compacts the relation, so scans
+   never visit more than a third as many dead rows as live ones and
+   the deletions pay for the garbage they leave (amortized O(1) row
+   copies each), not the next append. *)
 let rel_remove r atom =
   match Atom.Tbl.find_opt r.r_rowid atom with
   | None -> false
   | Some row ->
     Atom.Tbl.remove r.r_rowid atom;
-    let last = r.r_rows - 1 in
-    if row < last then begin
-      let moved = r.r_atoms.(last) in
-      r.r_atoms.(row) <- moved;
-      for p = 0 to r.r_width - 1 do
-        r.r_cols.(p).(row) <- r.r_cols.(p).(last)
-      done;
-      Atom.Tbl.replace r.r_rowid moved row
-    end;
-    r.r_rows <- last;
-    r.r_version <- r.r_version + 1;
+    Bytes.set r.r_live row '\000';
+    r.r_dead <- r.r_dead + 1;
+    if 4 * r.r_dead >= r.r_rows then rel_compact r;
     true
 
 (* ------------------------------------------------------------------ *)
 (* Sorted-run index maintenance                                        *)
 
-(* Fold the pending rows of position [p] into the run stack: sort the
-   tail into a new run, then merge while the new run is at least as
-   long as the head run — lengths stay strictly increasing, so a
-   column keeps O(log n) runs and amortizes its merges. *)
+let index_current r st =
+  st.ix_flushed = r.r_rows && st.ix_version = r.r_version && st.ix_dead = r.r_dead
+
+(* Bring position [p]'s run stack up to date: after removals, purge the
+   runs into one run of the live rows; then sort the live pending rows
+   into a new run and merge while it is at least as long as the head
+   run — lengths stay strictly increasing, so a column keeps O(log n)
+   runs and amortizes its merges. *)
 let flush_locked r p st =
   let base = if st.ix_version = r.r_version then st else empty_ix in
+  let runs =
+    if base.ix_dead = r.r_dead || base.ix_runs = [] then base.ix_runs
+    else
+      match Intrun.merge_filter base.ix_runs (is_live r) with
+      | [||] -> []
+      | run -> [ run ]
+  in
   let col = r.r_cols.(p) in
   let pending = r.r_rows - base.ix_flushed in
-  let run = Array.init pending (fun i ->
-      let row = base.ix_flushed + i in
-      Intrun.pack col.(row) row)
-  in
+  let run = Array.make pending 0 in
+  let k = ref 0 in
+  for row = base.ix_flushed to r.r_rows - 1 do
+    if is_live r row then begin
+      run.(!k) <- Intrun.pack col.(row) row;
+      incr k
+    end
+  done;
+  let run = if !k = pending then run else Array.sub run 0 !k in
   Intrun.sort run;
   let rec push runs a =
     match runs with
     | b :: tl when Array.length a >= Array.length b -> push tl (Intrun.merge b a)
     | _ -> a :: runs
   in
-  { ix_runs = push base.ix_runs run; ix_flushed = r.r_rows; ix_version = r.r_version }
+  {
+    ix_runs = (if !k = 0 then runs else push runs run);
+    ix_flushed = r.r_rows;
+    ix_version = r.r_version;
+    ix_dead = r.r_dead;
+  }
 
 (* The current complete index snapshot of position [p]: fast path is
    one atomic load; a stale snapshot is rebuilt under the relation
@@ -186,12 +253,12 @@ let flush_locked r p st =
 let get_index r p =
   let a = r.r_ix.(p) in
   let st = Atomic.get a in
-  if st.ix_flushed = r.r_rows && st.ix_version = r.r_version then st
+  if index_current r st then st
   else begin
     Mutex.lock r.r_lock;
     let st = Atomic.get a in
     let st =
-      if st.ix_flushed = r.r_rows && st.ix_version = r.r_version then st
+      if index_current r st then st
       else begin
         let st' = flush_locked r p st in
         Atomic.set a st';
@@ -288,13 +355,13 @@ let of_atoms atoms =
   add_all db atoms;
   db
 
-(* Safe under concurrent [add]: only the rows present at call time are
-   visited ([r_atoms] slots below the snapshot never move except under
-   [remove], which is not allowed during iteration). *)
+(* Safe under concurrent [add]: only the live rows present at call
+   time are visited ([r_atoms] slots below the snapshot never move
+   except under [remove], which is not allowed during iteration). *)
 let rel_iter f r =
   let n = r.r_rows in
   for i = 0 to n - 1 do
-    f r.r_atoms.(i)
+    if is_live r i then f r.r_atoms.(i)
   done
 
 let iter f db = Int_tbl.iter (fun _ r -> rel_iter f r) db.rels
@@ -320,7 +387,7 @@ let facts_of_rel db key =
     !acc
 
 let rel_cardinal db key =
-  match rel_of db (Atom.rel_key_id key) with None -> 0 | Some r -> r.r_rows
+  match rel_of db (Atom.rel_key_id key) with None -> 0 | Some r -> live_rows r
 
 (* ------------------------------------------------------------------ *)
 (* Candidate selection.
@@ -370,7 +437,7 @@ let candidate_count_under db subst pattern =
           let n = index_count r p tid in
           if !best < 0 || n < !best then best := n
         end);
-    if !best >= 0 then !best else r.r_rows
+    if !best >= 0 then !best else live_rows r
 
 (* {!iter_candidates} of the pattern under a substitution; the caller
    confirms candidates with [Subst.match_atom subst pattern]. The most
@@ -571,7 +638,7 @@ let iter_var_values_under db subst pattern ~var f =
         in
         if nbound = 0 then
           for row = 0 to r.r_rows - 1 do
-            visit row
+            if is_live r row then visit row
           done
         else begin
           let best = ref 0 and best_n = ref max_int in
@@ -644,12 +711,13 @@ let storage_stats db =
         r.r_ix;
       let words =
         (cap * (r.r_width + 1)) (* columns + row->fact array *)
+        + (cap / word) (* liveness bytes *)
         + !run_words
         + (2 * Atom.Tbl.length r.r_rowid) (* row map entries, approx. *)
       in
       {
         rs_rel = Atom.rel_key_of_id rel_id;
-        rs_rows = r.r_rows;
+        rs_rows = live_rows r;
         rs_runs = !runs;
         rs_bytes = words * word;
       }

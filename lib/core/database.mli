@@ -10,9 +10,11 @@
     needs one folds pending rows in, merging runs of similar size);
     candidate iteration snapshots the runs, so facts added mid-iteration
     are not visited and concurrent readers are safe. Removals
-    ({!remove}) swap-delete a row out of every column in O(width) and
-    invalidate the relation's runs (rebuilt lazily), but must not run
-    during a candidate iteration. *)
+    ({!remove}) are tombstones: the row stays in its columns, marked
+    dead, so no run is discarded; the first lookup of a position after
+    removals purges the dead rows from its runs in one merge, and the
+    removal that leaves a quarter of a relation's rows dead compacts
+    it. Removals must not run during a candidate iteration. *)
 
 type t
 
@@ -30,10 +32,13 @@ val add_all : t -> Atom.t list -> unit
 val of_atoms : Atom.t list -> t
 
 val remove : t -> Atom.t -> bool
-(** [remove db a] deletes the fact [a] from the store and every
-    per-relation and per-position index bucket; returns [false] when it
-    was not present. Must not be called while a candidate iteration
-    over [db] is in progress. *)
+(** [remove db a] deletes the fact [a]; returns [false] when it was not
+    present. The fact's row becomes a tombstone that scans skip and the
+    next index lookup of each position purges, so every count,
+    candidate stream and probe is exact right after it; amortized O(1)
+    (the removal that leaves a quarter of the relation's rows dead
+    compacts it). Must not be called while a candidate iteration over
+    [db] is in progress. *)
 
 type epoch
 (** A point in a database's mutation history; see {!epoch}/{!rollback}. *)

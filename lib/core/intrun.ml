@@ -25,6 +25,44 @@ let merge (a : int array) (b : int array) =
   if !j < lb then Array.blit b !j out !k (lb - !j);
   out
 
+(* K-way merge of [runs] into an array of the [live] entries that
+   survive [keep]. *)
+let kway_filter runs keep live =
+  let n = Array.length runs in
+  let out = Array.make live 0 in
+  (* [pos.(i)]: run [i]'s next surviving entry (dead ones skipped). *)
+  let pos = Array.make n 0 in
+  let skip i =
+    let run = runs.(i) in
+    while pos.(i) < Array.length run && not (keep (row run.(pos.(i)))) do
+      pos.(i) <- pos.(i) + 1
+    done
+  in
+  for i = 0 to n - 1 do
+    skip i
+  done;
+  for k = 0 to live - 1 do
+    let best = ref (-1) and best_pk = ref max_int in
+    for i = 0 to n - 1 do
+      let run = runs.(i) in
+      if pos.(i) < Array.length run && run.(pos.(i)) < !best_pk then begin
+        best := i;
+        best_pk := run.(pos.(i))
+      end
+    done;
+    out.(k) <- !best_pk;
+    pos.(!best) <- pos.(!best) + 1;
+    skip !best
+  done;
+  out
+
+let merge_filter runs keep =
+  let runs = Array.of_list runs in
+  let live = ref 0 in
+  Array.iter (Array.iter (fun pk -> if keep (row pk) then incr live)) runs;
+  if Array.length runs = 1 && !live = Array.length runs.(0) then runs.(0)
+  else kway_filter runs keep !live
+
 let lower (a : int array) key =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do

@@ -30,6 +30,13 @@ val merge : int array -> int array -> int array
     entries are kept — the caller never produces them (a (value, row)
     pair is unique per relation), but merging is oblivious to them. *)
 
+val merge_filter : int array list -> (int -> bool) -> int array
+(** [merge_filter runs keep] merges any number of sorted runs into one
+    sorted run holding exactly the entries whose row half satisfies
+    [keep] — one k-way pass that allocates only the output (sized by a
+    counting pass first); a single run that loses nothing is returned
+    as is. The purge step of tombstoned deletes. *)
+
 val lower : int array -> int -> int
 (** [lower a key] is the first index whose entry is [>= key], or
     [Array.length a] when none is — a binary search. *)

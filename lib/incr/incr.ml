@@ -364,31 +364,33 @@ let negated_relations (sigma : Theory.t) =
         acc (Rule.neg_body_atoms r))
     Theory.Rel_set.empty (Theory.rules sigma)
 
+(* Refine each negation stratum into dependency components so the
+   delete/rederive strategy (and the negation fallback) pays only for
+   the component that is actually recursive (resp. touched): one
+   recursive rule must not force DRed on the whole program. The
+   concatenation is still dependencies-first, so each stratum's input
+   is the previous one's output. *)
+let stratum_theories sigma = Stratify.strata sigma |> List.concat_map Depgraph.rule_components
+
+let make_stratum ~join th ~st_in ~st_out =
+  {
+    st_theory = th;
+    st_engine = Seminaive.engine ~join th;
+    st_join = join;
+    st_recursive = Depgraph.is_recursive th;
+    st_negated = negated_relations th;
+    st_counts = Atom.Tbl.create 256;
+    st_in;
+    st_out;
+  }
+
 let build_strata ?pool ?(join = `Auto) (sigma : Theory.t) (base : Database.t) =
   let prev = ref base in
-  (* Refine each negation stratum into dependency components so the
-     delete/rederive strategy (and the negation fallback) pays only for
-     the component that is actually recursive (resp. touched): one
-     recursive rule must not force DRed on the whole program. The
-     concatenation is still dependencies-first, so the chaining below
-     is unaffected. *)
-  Stratify.strata sigma
-  |> List.concat_map Depgraph.rule_components
+  stratum_theories sigma
   |> List.map (fun th ->
          let st_in = !prev in
          let st_out = Seminaive.eval ~acdom:false ?pool ~join th st_in in
-         let st =
-           {
-             st_theory = th;
-             st_engine = Seminaive.engine ~join th;
-             st_join = join;
-             st_recursive = Depgraph.is_recursive th;
-             st_negated = negated_relations th;
-             st_counts = Atom.Tbl.create 256;
-             st_in;
-             st_out;
-           }
-         in
+         let st = make_stratum ~join th ~st_in ~st_out in
          if not st.st_recursive then rebuild_counts st;
          prev := st_out;
          st)
@@ -472,7 +474,7 @@ let dump t =
    integrity is the snapshot layer's checksum's job. *)
 let restore ?pool ?(join = `Auto) (sigma : Theory.t) (d : dump) =
   let t = make_shell ?pool sigma d.d_edb in
-  let theories = Stratify.strata sigma |> List.concat_map Depgraph.rule_components in
+  let theories = stratum_theories sigma in
   if List.length theories <> List.length d.d_strata then
     invalid_arg
       (Fmt.str "Incr.restore: dump has %d strata, the program needs %d"
@@ -484,18 +486,7 @@ let restore ?pool ?(join = `Auto) (sigma : Theory.t) (d : dump) =
         let st_in = !prev in
         let st_out = Database.copy st_in in
         List.iter (fun f -> ignore (Database.add st_out f)) sd.sd_new;
-        let st =
-          {
-            st_theory = th;
-            st_engine = Seminaive.engine ~join th;
-            st_join = join;
-            st_recursive = Depgraph.is_recursive th;
-            st_negated = negated_relations th;
-            st_counts = Atom.Tbl.create 256;
-            st_in;
-            st_out;
-          }
-        in
+        let st = make_stratum ~join th ~st_in ~st_out in
         List.iter (fun (f, n) -> Atom.Tbl.replace st.st_counts f n) sd.sd_counts;
         prev := st_out;
         st)

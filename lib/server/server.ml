@@ -314,7 +314,12 @@ let answer_read t c (req : Wire.request) =
     | Wire.Snapshot path -> snapshot_command t path
     | Wire.Follow since -> follow_command t c since
     | _ -> assert false
-  with Invalid_argument m | Failure m -> Some (Wire.Failed m)
+  with
+  | Invalid_argument m | Failure m -> Some (Wire.Failed m)
+  (* Any other exception (Not_found, Stack_overflow, ...) would end the
+     reactor thread and with it the whole server: it fails this request
+     only. *)
+  | e -> Some (Wire.Failed (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Reactor: connection bookkeeping                                     *)

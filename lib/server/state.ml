@@ -237,7 +237,9 @@ let writer_loop t =
       (match p.p_delta () with
       | Stdlib.Ok delta -> apply_one t p delta
       | Error _ as e -> p.p_done e
-      | exception (Invalid_argument m | Failure m) -> p.p_done (Error m));
+      | exception (Invalid_argument m | Failure m) -> p.p_done (Error m)
+      (* Any other exception fails this batch only, not the writer. *)
+      | exception e -> p.p_done (Error (Printexc.to_string e)));
       loop ()
     | None ->
       (* stopping with an empty queue *)

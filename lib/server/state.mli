@@ -136,8 +136,8 @@ val submit :
     next commit hook). The writer thread runs [build] before it takes
     the write lock — the place for expensive decoding — then applies
     the batch and calls [on_done] outside every lock, before the
-    commit hook. A [build] error (or [Invalid_argument]/[Failure])
-    goes to [on_done] and creates no epoch. After {!shutdown},
+    commit hook. A [build] error, or any exception [build] raises,
+    goes to [on_done] as an [Error] and creates no epoch. After {!shutdown},
     [on_done] gets an [Error] at once, on the caller's thread. *)
 
 val commit : t -> Guarded_incr.Delta.t -> (commit_result, string) result

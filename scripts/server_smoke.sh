@@ -332,6 +332,22 @@ AFTER=$($GUARDED client --socket "$SOCK" -e "? path" | head -1)
 $GUARDED client --socket "$SOCK" -e "? path(a, ?X)" | head -1 | grep -qx "ANSWERS 0" \
   || { echo "deleted edge still answers"; exit 1; }
 
+# Retire, re-add and retire one edge on the same server, then restore
+# it: every removal must take its paths away and every re-addition
+# bring them back, so the answer count alternates between two values.
+commit_edge() { # commit_edge +|- FACT
+  $GUARDED client --socket "$SOCK" --exec="$1$2" --exec=COMMIT | grep -q "^COMMITTED" \
+    || { echo "commit of $1$2 failed"; exit 1; }
+}
+expect_paths() { # expect_paths N WHAT
+  GOT=$($GUARDED client --socket "$SOCK" -e "? path" | head -1)
+  [ "$GOT" = "ANSWERS $1" ] || { echo "$2: expected ANSWERS $1, got: $GOT"; exit 1; }
+}
+commit_edge - "e(c, d)."; expect_paths 2 "after retiring e(c, d)"
+commit_edge + "e(c, d)."; expect_paths 6 "after re-adding e(c, d)"
+commit_edge - "e(c, d)."; expect_paths 2 "after retiring e(c, d) again"
+commit_edge + "e(c, d)."; expect_paths 6 "after restoring e(c, d)"
+
 # Bulk ingest over the binary LOAD path: 200 disjoint edges staged by
 # `guarded load` in one go, committed, and served; load_facts must
 # count them (it is monotone and was 0 until now).

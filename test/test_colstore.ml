@@ -89,6 +89,19 @@ let prop_inter_matches_set_intersection =
       Array.to_list (Intrun.inter a b)
       = List.filter (fun x -> Array.exists (( = ) x) b) (Array.to_list a))
 
+(* 0-4 runs, the surviving rows picked by a random bitmask over the
+   row domain; covers the single-run, nothing-dropped shortcut. *)
+let prop_merge_filter_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"merge_filter = sorted filter of the concatenation"
+    (QCheck.make
+       ~print:(fun (rs, mask) ->
+         Fmt.str "%a / mask %d" Fmt.(Dump.list (Dump.list (Dump.pair int int))) rs mask)
+       QCheck.Gen.(pair (list_size (int_bound 4) gen_pairs) (int_bound 255)))
+    (fun (pss, mask) ->
+      let keep row = mask land (1 lsl row) <> 0 in
+      unpack (Intrun.merge_filter (List.map run_of_pairs pss) keep)
+      = List.sort Stdlib.compare (List.filter (fun (_, r) -> keep r) (List.concat pss)))
+
 let prop_iter_distinct_values_matches_reference =
   QCheck.Test.make ~count:500 ~name:"iter_distinct_values = min-row witness per distinct value"
     (QCheck.make
@@ -112,8 +125,8 @@ let prop_iter_distinct_values_matches_reference =
 
 (* Random add/remove scripts over a tiny atom space: a binary relation
    over four constants, so the same fact is added, removed and re-added
-   across a script, exercising swap-deletes, run invalidation and lazy
-   re-flushes. *)
+   across a script, exercising tombstones, run purges, compaction and
+   lazy re-flushes. *)
 let const i = Term.Const (Fmt.str "c%d" i)
 let fact u v = Atom.make "r" [ const u; const v ]
 
@@ -266,6 +279,7 @@ let suite =
       prop_seg_count_match_filter;
       prop_inter_matches_set_intersection;
       prop_iter_distinct_values_matches_reference;
+      prop_merge_filter_matches_reference;
       prop_database_matches_set_reference;
       prop_database_probes_after_interleaving;
       prop_database_var_values_after_interleaving;

@@ -256,7 +256,7 @@ let test_database_remove () =
   let pattern = Atom.make "r" [ Term.Const "a"; Term.Var "x" ] in
   check cint "positional bucket shrank" 1 (Database.candidate_count d pattern);
   check cint "candidates shrank" 1 (List.length (Database.candidates d pattern));
-  (* swap-removal moved another fact into the hole: iteration must see
+  (* the removed row stays behind as a tombstone: iteration must see
      exactly the remaining facts, no stale entry, no omission *)
   let seen = ref [] in
   Database.iter (fun a -> seen := Atom.to_string a :: !seen) d;
@@ -311,6 +311,127 @@ let test_database_add_remove_interleaved () =
           (fun a -> check cbool "stream is live" true (Hashtbl.mem reference a))
           !streamed)
       consts
+  done
+
+(* Tombstoned removal under long random schedules: grow and shrink
+   phases alternate so the relation crosses the compaction threshold
+   again and again (dozens of times on this schedule), facts are removed
+   and re-added, and the journal rolls back across removals. After
+   every step every view of the store — exact candidate counts,
+   candidate streams, scans, cardinalities, storage stats and the
+   worst-case-optimal join's value probes — must agree with a
+   reference set: no dead row may surface anywhere. *)
+let test_database_tombstones () =
+  let d = Database.create () in
+  Database.enable_journal d;
+  let reference = Hashtbl.create 256 in
+  let rng = Random.State.make [| 0x70b5 |] in
+  let consts = [| "a"; "b"; "c"; "d" |] in
+  let const i = Term.Const consts.(i) in
+  let random_fact () =
+    Atom.make "r" (List.init 3 (fun _ -> const (Random.State.int rng (Array.length consts))))
+  in
+  let key = Atom.rel_key (random_fact ()) in
+  let var v = Term.Var v in
+  let sorted l = List.sort_uniq Atom.compare l in
+  let live () = sorted (Hashtbl.fold (fun a () acc -> a :: acc) reference []) in
+  let arg a p = List.nth (Atom.args a) p in
+  let live_values p facts = List.sort_uniq Term.compare (List.map (fun a -> arg a p) facts) in
+  let ids ts = List.sort_uniq compare (List.map Term.id ts) in
+  let check_views step =
+    let facts = live () in
+    let n = List.length facts in
+    let msg what = Fmt.str "step %d: %s" step what in
+    check cint (msg "cardinal") n (Database.cardinal d);
+    check cint (msg "rel_cardinal") n (Database.rel_cardinal d key);
+    check (Alcotest.list cstring) (msg "iter")
+      (List.map Atom.to_string facts)
+      (List.map Atom.to_string (sorted (Database.fold (fun a acc -> a :: acc) d [])));
+    List.iter
+      (fun (st : Database.rel_stats) ->
+        if st.rs_rel = key then check cint (msg "storage_stats rows") n st.rs_rows)
+      (Database.storage_stats d);
+    check cint (msg "unbound candidate_count") n
+      (Database.candidate_count d (Atom.make "r" [ var "X"; var "Y"; var "Z" ]));
+    (* One bound position: the count is exact and the stream is exactly
+       the live matching facts. *)
+    for p = 0 to 2 do
+      Array.iteri
+        (fun i _ ->
+          let pattern = Atom.make "r" (List.init 3 (fun q -> if q = p then const i else var (Fmt.str "V%d" q))) in
+          let expected = List.filter (fun a -> Term.equal (arg a p) (const i)) facts in
+          check cint (msg "candidate_count") (List.length expected) (Database.candidate_count d pattern);
+          check (Alcotest.list cstring) (msg "candidates")
+            (List.map Atom.to_string expected)
+            (List.map Atom.to_string (sorted (Database.candidates d pattern))))
+        consts
+    done;
+    (* Two bound positions: the count is the smaller bucket, every
+       candidate is live, and every live match is a candidate. *)
+    let pattern = Atom.make "r" [ const 0; var "Y"; const 1 ] in
+    let bucket p i = List.length (List.filter (fun a -> Term.equal (arg a p) (const i)) facts) in
+    check cint (msg "two-bound candidate_count") (min (bucket 0 0) (bucket 2 1))
+      (Database.candidate_count d pattern);
+    let cands = Database.candidates d pattern in
+    List.iter (fun a -> check cbool (msg "candidate is live") true (Hashtbl.mem reference a)) cands;
+    List.iter
+      (fun a ->
+        if Term.equal (arg a 0) (const 0) && Term.equal (arg a 2) (const 1) then
+          check cbool (msg "match is a candidate") true (List.memq a cands))
+      facts;
+    (* The WCOJ probes. *)
+    let all = Atom.make "r" [ var "X"; var "Y"; var "Z" ] in
+    for p = 0 to 2 do
+      let v = [| "X"; "Y"; "Z" |].(p) in
+      let expected = live_values p facts in
+      (match Database.distinct_ids_under d Subst.empty all ~var:v with
+      | Some got -> check (Alcotest.list cint) (msg "distinct_ids_under") (ids expected) (Array.to_list got)
+      | None -> Alcotest.fail (msg "distinct_ids_under declined an unbound pattern"));
+      let resolved = ref [] in
+      Database.iter_values_of_ids d all ~var:v
+        (Array.of_list (ids (Array.to_list (Array.mapi (fun i _ -> const i) consts))))
+        (fun t -> resolved := t :: !resolved);
+      check (Alcotest.list cint) (msg "iter_values_of_ids") (ids expected) (ids !resolved);
+      let scanned = ref [] in
+      Database.iter_var_values_under d Subst.empty all ~var:v (fun t -> scanned := t :: !scanned);
+      check cint (msg "iter_var_values_under: no duplicates") (List.length expected) (List.length !scanned);
+      check (Alcotest.list cint) (msg "iter_var_values_under") (ids expected) (ids !scanned)
+    done;
+    (* Bound driver and repeated-variable scan branches. *)
+    let probe pattern var keep =
+      let got = ref [] in
+      Database.iter_var_values_under d Subst.empty pattern ~var (fun t -> got := t :: !got);
+      check (Alcotest.list cint) (msg ("iter_var_values_under " ^ Atom.to_string pattern))
+        (ids (live_values 1 (List.filter keep facts))) (ids !got)
+    in
+    probe (Atom.make "r" [ const 2; var "Y"; var "Z" ]) "Y" (fun a -> Term.equal (arg a 0) (const 2));
+    probe (Atom.make "r" [ var "Y"; var "Y"; var "Z" ]) "Y" (fun a -> Term.equal (arg a 0) (arg a 1))
+  in
+  (* Epoch checkpoints for rollback, newest first. *)
+  let checkpoints = ref [ (Database.epoch d, live ()) ] in
+  for step = 1 to 2000 do
+    let grow = step / 50 mod 2 = 0 in
+    let a = random_fact () in
+    let add = Random.State.int rng 10 < if grow then 8 else 2 in
+    if add then begin
+      check cbool "add agrees" (not (Hashtbl.mem reference a)) (Database.add d a);
+      Hashtbl.replace reference a ()
+    end
+    else begin
+      check cbool "remove agrees" (Hashtbl.mem reference a) (Database.remove d a);
+      Hashtbl.remove reference a
+    end;
+    if step mod 37 = 0 then checkpoints := (Database.epoch d, live ()) :: !checkpoints;
+    if step mod 250 = 0 then begin
+      (* Roll back to a random checkpoint; later ones become void. *)
+      let keep = List.filteri (fun i _ -> i >= Random.State.int rng (List.length !checkpoints)) !checkpoints in
+      let e, facts = List.hd keep in
+      Database.rollback d e;
+      Hashtbl.reset reference;
+      List.iter (fun a -> Hashtbl.replace reference a ()) facts;
+      checkpoints := keep
+    end;
+    check_views step
   done
 
 let test_database_epoch_rollback () =
@@ -397,6 +518,7 @@ let suite =
     Alcotest.test_case "database ACDom" `Quick test_database_acdom;
     Alcotest.test_case "database removal" `Quick test_database_remove;
     Alcotest.test_case "database add/remove interleaved" `Quick test_database_add_remove_interleaved;
+    Alcotest.test_case "database tombstones vs reference" `Quick test_database_tombstones;
     Alcotest.test_case "database epoch rollback" `Quick test_database_epoch_rollback;
     Alcotest.test_case "database rejects non-ground" `Quick test_database_non_ground_rejected;
     Alcotest.test_case "homomorphism enumeration" `Quick test_homomorphism_all;

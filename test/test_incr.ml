@@ -234,6 +234,52 @@ let prop_oracle_semipositive_pool =
     (arbitrary_case arbitrary_semipositive) (fun case ->
       check_schedule ~pool:(Lazy.force pool) case)
 
+(* Long deletion schedules shaped like a serving write load: each
+   cycle adds a block of facts, retires it again, then runs small
+   batches that each enroll a few facts and retire the ones the
+   previous batch enrolled. 30+ batches churn the strata's stores
+   through many removal rounds, so their index purges and array
+   compactions run again and again under the oracle. *)
+let gen_retire_schedule =
+  QCheck.Gen.(
+    let cycle =
+      pair (list_size (int_range 12 24) gen_fact)
+        (list_size (int_range 8 10) (list_size (int_range 1 4) gen_fact))
+      >|= fun (block, smalls) ->
+      let _, small_batches =
+        List.fold_left
+          (fun (prev, acc) adds ->
+            (adds, Delta.of_lists ~additions:adds ~deletions:prev :: acc))
+          ([], []) smalls
+      in
+      Delta.of_lists ~additions:block ~deletions:[]
+      :: Delta.of_lists ~additions:[] ~deletions:block
+      :: List.rev small_batches
+    in
+    list_repeat 3 cycle >|= List.concat)
+
+let arbitrary_retire_case arb_theory =
+  QCheck.make ~print:print_case
+    QCheck.Gen.(triple (QCheck.gen arb_theory) (gen_db ()) gen_retire_schedule)
+
+let prop_retire_datalog =
+  QCheck.Test.make ~count:20 ~name:"incremental = from-scratch (block-retire schedules)"
+    (arbitrary_retire_case arbitrary_datalog) check_schedule
+
+let prop_retire_semipositive =
+  QCheck.Test.make ~count:20 ~name:"incremental = from-scratch (block-retire, semipositive)"
+    (arbitrary_retire_case arbitrary_semipositive) check_schedule
+
+let prop_retire_datalog_pool =
+  QCheck.Test.make ~count:10 ~name:"incremental = from-scratch (block-retire schedules, pool)"
+    (arbitrary_retire_case arbitrary_datalog) (fun case ->
+      check_schedule ~pool:(Lazy.force pool) case)
+
+let prop_retire_semipositive_pool =
+  QCheck.Test.make ~count:10 ~name:"incremental = from-scratch (block-retire, semipositive, pool)"
+    (arbitrary_retire_case arbitrary_semipositive) (fun case ->
+      check_schedule ~pool:(Lazy.force pool) case)
+
 let suite =
   [
     Alcotest.test_case "delta parsing" `Quick test_delta_parse;
@@ -253,4 +299,8 @@ let suite =
         prop_oracle_semipositive;
         prop_oracle_datalog_pool;
         prop_oracle_semipositive_pool;
+        prop_retire_datalog;
+        prop_retire_semipositive;
+        prop_retire_datalog_pool;
+        prop_retire_semipositive_pool;
       ]

@@ -883,6 +883,28 @@ let test_parked_commit () =
           | Wire.Answers tuples -> Alcotest.(check int) "read afterwards" 9 (List.length tuples)
           | _ -> Alcotest.fail "expected answers"))
 
+(* An exception other than [Invalid_argument]/[Failure] escaping a
+   batch's build thunk fails that batch only: the writer thread lives
+   on and the next commit is applied. *)
+let test_submit_exception () =
+  let st = State.create (theory path_sigma) (db "e(a, b).") in
+  Fun.protect
+    ~finally:(fun () -> State.shutdown st)
+    (fun () ->
+      let result = Atomic.make None in
+      let queued =
+        State.submit st (fun () -> raise Not_found) (fun r -> Atomic.set result (Some r))
+      in
+      Alcotest.(check bool) "queued" true queued;
+      wait_until "the failed batch is reported" (fun () -> Atomic.get result <> None);
+      (match Atomic.get result with
+      | Some (Error m) -> Alcotest.(check string) "message" "Not_found" m
+      | _ -> Alcotest.fail "expected Error for a build that raises Not_found");
+      Alcotest.(check int) "no epoch" 0 (State.epoch st);
+      match State.commit st (Delta.of_lists ~additions:[ atom "e(b, c)" ] ~deletions:[]) with
+      | Ok r -> Alcotest.(check int) "next commit reaches COMMITTED" 1 r.State.cr_epoch
+      | Error m -> Alcotest.fail m)
+
 let suite =
   [
     Alcotest.test_case "wire: request round-trips" `Quick test_wire_requests;
@@ -900,6 +922,7 @@ let suite =
     Alcotest.test_case "server: corrupt LOAD fails the COMMIT" `Quick test_load_corrupt_commit;
     Alcotest.test_case "server: reads park behind the writer" `Quick test_parked_read;
     Alcotest.test_case "server: a full commit queue parks COMMIT" `Quick test_parked_commit;
+    Alcotest.test_case "state: a raising build fails its batch only" `Quick test_submit_exception;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
