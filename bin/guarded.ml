@@ -427,8 +427,8 @@ let serve_cmd =
              "Translates THEORY to Datalog once (Thms. 1/5 — the rewriting is \
               database-independent), materializes it over DATABASE, then reads commands from \
               standard input: $(b,+fact.) and $(b,-fact.) stage insertions and deletions, \
-              $(b,commit) applies the staged batch incrementally (counting on nonrecursive \
-              strata, delete/rederive on recursive ones) and prints net changes with timing, \
+              $(b,commit) applies the staged batch incrementally (delete/rederive on every \
+              stratum) and prints net changes with timing, \
               $(b,? REL) prints a relation's tuples, $(b,? body -> q(X).) answers a \
               conjunctive query ($(b,;)-separated disjuncts form a union), and $(b,quit) \
               exits.";

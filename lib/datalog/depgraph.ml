@@ -95,18 +95,8 @@ let recursive_relations (g : t) : Rel_set.t =
       | many -> List.fold_left (fun acc k -> Rel_set.add k acc) acc many)
     Rel_set.empty (sccs g)
 
-(* Does the program derive any recursive relation? Decides the
-   maintenance strategy per stratum: counting suffices for nonrecursive
-   strata, recursive ones need delete/rederive. *)
-let is_recursive (sigma : Theory.t) : bool =
-  let g = of_theory sigma in
-  let rec_rels = recursive_relations g in
-  List.exists
-    (fun r ->
-      List.exists (fun h -> Rel_set.mem (Atom.rel_key h) rec_rels) (Rule.head r))
-    (Theory.rules sigma)
-
-(* The partition used to refine a stratum for incremental maintenance:
+(* The partition used to refine a stratum for incremental maintenance
+   (an overdeletion or a negation fallback stays inside one component):
    SCCs of the dependency graph with each rule's head relations tied
    together (a multi-head rule derives its heads in one instance, so a
    rule must never straddle two components). The tie edges only merge

@@ -23,10 +23,6 @@ val sccs : t -> Atom.rel_key list list
 
 val recursive_relations : t -> Rel_set.t
 
-val is_recursive : Theory.t -> bool
-(** Does the program derive any recursive relation? Decides the
-    per-stratum maintenance strategy (counting vs delete/rederive). *)
-
 val rule_components : Theory.t -> Theory.t list
 (** Partition a program's rules into evaluation components,
     dependencies first: the SCC condensation of the dependency graph
@@ -34,8 +30,9 @@ val rule_components : Theory.t -> Theory.t list
     derives its heads together, so its heads share a component). Every
     body relation of a component is derived in the same or an earlier
     component; concatenating the components gives back the program.
-    Refines a (negation) stratum so recursion-sensitive maintenance
-    pays only for the genuinely recursive components. *)
+    Refines a (negation) stratum for incremental maintenance, so a
+    delete/rederive pass or a negation fallback pays only for the
+    components a batch reaches. *)
 
 val reachable_from : t -> Rel_set.t -> Rel_set.t
 (** Relations on which the targets transitively depend (inclusive) —

@@ -258,9 +258,9 @@ let answers ?pool (sigma : Theory.t) (db : Database.t) ~query =
    Incremental maintenance (lib/incr) evaluates the same program over a
    long-lived database many times; the prepared rules and the delta rule
    index are input-independent, so they are built once into an [engine]
-   and reused across update batches. The engine also exposes the
-   building blocks counting and DRed maintenance need: in-place delta
-   insertion and ground-instance enumeration (full and seeded). *)
+   and reused across update batches. The engine also exposes the two
+   building blocks of DRed maintenance: in-place delta insertion and
+   the seeded head enumeration of overdeletion. *)
 
 type engine = {
   e_prepared : prepared array;
@@ -329,34 +329,16 @@ let delta_insert ?pool (e : engine) (db : Database.t) (facts : Atom.t list) =
   List.rev !added
 
 (* ------------------------------------------------------------------ *)
-(* Ground-instance enumeration.
+(* Seeded head enumeration: DRed's overdeletion step. *)
 
-   An {e instance} of a rule is a homomorphism of its positive body into
-   the database whose negative literals are absent: the unit of support
-   counting. The callback receives the rule's index in [Theory.rules],
-   the instantiated positive body (premises, in rule order) and the
-   instantiated head atoms. *)
-
-(* Every instance of every rule over [db], each exactly once (the
-   premise list determines the homomorphism for safe rules). *)
-let iter_instances (e : engine) (db : Database.t) f =
-  Array.iteri
-    (fun idx p ->
-      iter_join p.p_exec p.p_body db (fun subst ->
-          if negs_ok db p.p_negs subst then
-            let premises = List.map (Subst.apply_atom subst) p.p_body in
-            let heads = List.map (Subst.apply_atom subst) (Rule.head p.p_rule) in
-            f idx premises heads))
-    e.e_prepared
-
-(* Instances with at least one premise matched in [seed] (the anchor)
-   and the remaining premises matched in [db]; negative literals are
-   checked against [db]. An instance with k premises in [seed] is
-   visited once per such premise position — callers deduplicate (e.g.
-   keyed on rule index + premise atom ids). With [?pool] the anchored
-   units are enumerated in parallel into buffers and the callback runs
-   sequentially in canonical unit order. *)
-let iter_seeded_instances ?pool (e : engine) ~(seed : Database.t) ~(db : Database.t) f =
+(* The instantiated heads of every rule instance with at least one
+   premise matched in [seed] (the anchor) and the remaining premises
+   matched in [db]; negative literals are checked against [db]. A head
+   is reported once per instance and anchor position, so callers
+   collect heads into a set. With [?pool] the anchored units are
+   enumerated in parallel into buffers and [f] runs sequentially in
+   canonical unit order. *)
+let iter_seeded_heads ?pool (e : engine) ~(seed : Database.t) ~(db : Database.t) f =
   let marked = affected_rules e.e_index e.e_prepared seed in
   let units = ref [] in
   Array.iteri
@@ -365,29 +347,29 @@ let iter_seeded_instances ?pool (e : engine) ~(seed : Database.t) ~(db : Databas
         List.iter
           (fun ((anchor, _, _) as unit) ->
             if Database.rel_cardinal seed (Atom.rel_key anchor) > 0 then
-              units := (idx, p, unit) :: !units)
+              units := (p, unit) :: !units)
           p.p_anchors)
     e.e_prepared;
   let units = Array.of_list (List.rev !units) in
-  let collect (idx, p, (anchor, rest, plan)) =
-    let acc = ref [] in
+  let collect emit (p, (anchor, rest, plan)) =
+    let heads = Rule.head p.p_rule in
     Database.iter_candidates seed anchor (fun fact ->
         match Subst.match_atom Subst.empty anchor fact with
         | None -> ()
         | Some subst ->
           iter_join ~init:subst plan rest db (fun subst ->
               if negs_ok db p.p_negs subst then
-                let premises = List.map (Subst.apply_atom subst) p.p_body in
-                let heads = List.map (Subst.apply_atom subst) (Rule.head p.p_rule) in
-                acc := (idx, premises, heads) :: !acc));
-    List.rev !acc
+                List.iter (fun h -> emit (Subst.apply_atom subst h)) heads))
   in
-  let buffers =
-    match pool with
-    | None -> Array.map collect units
-    | Some pool ->
-      Guarded_par.Pool.parallel_map
-        ~min_work:(round_min_work pool (Database.cardinal seed))
-        (Some pool) collect units
-  in
-  Array.iter (List.iter (fun (idx, premises, heads) -> f idx premises heads)) buffers
+  match pool with
+  | None -> Array.iter (collect f) units
+  | Some pool ->
+    Guarded_par.Pool.parallel_map
+      ~min_work:(round_min_work pool (Database.cardinal seed))
+      (Some pool)
+      (fun unit ->
+        let acc = ref [] in
+        collect (fun h -> acc := h :: !acc) unit;
+        List.rev !acc)
+      units
+    |> Array.iter (List.iter f)

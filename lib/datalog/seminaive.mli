@@ -63,26 +63,19 @@ val delta_insert :
     owning ACDom maintenance pass the relevant ACDom deltas in
     [facts]. *)
 
-val iter_instances : engine -> Database.t -> (int -> Atom.t list -> Atom.t list -> unit) -> unit
-(** [iter_instances e db f] enumerates every ground {e instance} of
-    every rule over [db] — a homomorphism of the positive body with all
-    negative literals absent — calling [f rule_idx premises heads] with
-    the rule's index in [Theory.rules], the instantiated positive body
-    (rule order) and the instantiated head atoms. Each instance is
-    visited exactly once. The unit of support counting. *)
-
-val iter_seeded_instances :
+val iter_seeded_heads :
   ?pool:Guarded_par.Pool.t ->
   engine ->
   seed:Database.t ->
   db:Database.t ->
-  (int -> Atom.t list -> Atom.t list -> unit) ->
+  (Atom.t -> unit) ->
   unit
-(** Like {!iter_instances}, but restricted to instances with at least
-    one premise matched in [seed]; the remaining premises and the
-    negative literals are checked against [db]. An instance with [k]
-    premises in [seed] is visited once per such premise position —
-    callers deduplicate (e.g. on rule index + premise ids). With
-    [?pool] the anchored units run in parallel into buffers and [f] is
-    invoked sequentially in canonical unit order, so the visit sequence
-    is independent of the domain count. *)
+(** [iter_seeded_heads e ~seed ~db f] calls [f] on the instantiated
+    head atoms of every rule instance with at least one premise matched
+    in [seed]; the remaining premises and the negative literals are
+    checked against [db]. This is DRed's overdeletion step. A head is
+    reported once per instance and per premise position matched in
+    [seed], so callers collect heads into a set. With [?pool] the
+    anchored units run in parallel into buffers and [f] is invoked
+    sequentially in canonical unit order, so the visit sequence is
+    independent of the domain count. *)

@@ -11,37 +11,25 @@
     and membership tests against [st_in] see the new input. The last
     stratum's output is the served materialization.
 
-    Maintenance strategies, chosen per stratum:
+    Maintenance. Every stratum is maintained the same way, by DRed
+    (delete/rederive). Insertions are a semi-naive delta cascade
+    ({!Seminaive.delta_insert}). Deletions overdelete everything
+    reachable from the deleted facts (skipping facts still present in
+    [st_in]), then rederive: overdeleted facts one-step derivable from
+    the surviving database ({!Provenance.derivable_one_step}) re-enter
+    as seeds of an insertion cascade, which restores everything else
+    that was still derivable. Both steps stop at the first witness of a
+    fact; nothing enumerates all of a fact's derivations. The programs
+    this serves are subsumption-reduced by the translation
+    ([Saturate.dat] in lib/translate), which keeps the dependency
+    components small and mostly nonrecursive, so an overdeletion
+    stays local.
 
-    - {b Counting} (nonrecursive strata). [st_counts] maps each fact to
-      its number of derivation instances — ground rule instances with
-      all premises in [st_out] and negative literals absent. A fact
-      belongs to [st_out] iff it is in [st_in] or its count is
-      positive. Insertions and deletions run in rounds over a frontier:
-      instances touching the frontier are enumerated with the frontier
-      still (already) present via {!Seminaive.iter_seeded_instances},
-      deduplicated per round on (rule, premises), and counts are
-      adjusted; facts whose support appears or vanishes form the next
-      frontier. Rounds never double-count across rounds because a
-      frontier is physically applied to [st_out] before the next round
-      starts, so an instance is seen exactly in the round of its first
-      changed premise. Counting is exact only on nonrecursive strata —
-      cyclic derivations can support each other with no grounding in
-      the input, which is why recursive strata use DRed.
-
-    - {b DRed} (recursive strata). Deletions overdelete everything
-      reachable from the deleted facts (skipping facts still present in
-      [st_in]), then rederive: overdeleted facts one-step derivable
-      from the surviving database ({!Provenance.derivable_one_step})
-      re-enter as seeds of a semi-naive insertion cascade
-      ({!Seminaive.delta_insert}), which restores everything else that
-      was still derivable. Insertions are a plain delta cascade.
-
-    - {b Fallback}. Negation is semipositive within a stratum, so both
-      strategies assume the relations a stratum negates are unchanged.
-      When a batch's input delta touches a negated relation the stratum
-      is recomputed from scratch over the new input and the diff
-      becomes its output delta (counts rebuilt for counting strata).
+    Fallback. Negation is semipositive within a stratum, so DRed
+    assumes the relations a stratum negates are unchanged. When a
+    batch's input delta touches a negated relation the stratum is
+    recomputed from scratch over the new input and the diff becomes
+    its output delta.
 
     ACDom. When the program mentions the built-in active-domain
     relation, the base database holds ACDom(t) for every term of a
@@ -58,9 +46,7 @@ type stratum = {
   st_theory : Theory.t;
   st_engine : Seminaive.engine;
   st_join : Planner.join_mode;  (** executor choice, for recomputation *)
-  st_recursive : bool;  (** DRed when true, counting when false *)
   st_negated : Theory.Rel_set.t;  (** relations negated in this stratum *)
-  st_counts : int Atom.Tbl.t;  (** derivation counts (counting strata) *)
   st_in : Database.t;  (** shared with the previous stratum's [st_out] *)
   st_out : Database.t;
 }
@@ -108,106 +94,7 @@ let out_add st acc f = if Database.add st.st_out f then acc_add acc f
 let out_remove st acc f = if Database.remove st.st_out f then acc_remove acc f
 
 (* ------------------------------------------------------------------ *)
-(* Support counting (nonrecursive strata)                              *)
-
-let count st f = match Atom.Tbl.find_opt st.st_counts f with None -> 0 | Some n -> n
-
-let adjust_count st f d =
-  let n = count st f + d in
-  if n = 0 then Atom.Tbl.remove st.st_counts f else Atom.Tbl.replace st.st_counts f n;
-  n
-
-let rebuild_counts st =
-  Atom.Tbl.reset st.st_counts;
-  Seminaive.iter_instances st.st_engine st.st_out (fun _ _ heads ->
-      List.iter (fun h -> ignore (adjust_count st h 1)) heads)
-
-(* Instance identity for the per-round dedup: seeded enumeration visits
-   an instance once per frontier premise. *)
-let instance_key rule_idx premises =
-  let n = List.length premises in
-  let code = Array.make (n + 1) rule_idx in
-  List.iteri (fun i a -> code.(i + 1) <- Atom.id a) premises;
-  Rule.Key.make code
-
-(* One frontier round of instance enumeration, deduplicated: calls
-   [f heads] once per instance touching [frontier]. *)
-let iter_frontier_instances ?pool st ~frontier f =
-  let seen = Rule.Key.Tbl.create 64 in
-  Seminaive.iter_seeded_instances ?pool st.st_engine ~seed:frontier ~db:st.st_out
-    (fun rule_idx premises heads ->
-      let key = instance_key rule_idx premises in
-      if not (Rule.Key.Tbl.mem seen key) then begin
-        Rule.Key.Tbl.add seen key ();
-        f heads
-      end)
-
-(* Deletion cascade. The round's frontier holds facts that are leaving
-   [st_out] but are still physically present; every derivation instance
-   using a frontier fact is enumerated (still valid, hence previously
-   counted) and its heads lose one unit of support. Only then is the
-   frontier removed, so an instance whose premises die in different
-   rounds is decremented exactly once — in the round of its
-   earliest-removed premise; later rounds cannot see it again because
-   that premise is physically gone. *)
-let counting_delete ?pool st acc removed_inputs =
-  let frontier = Database.create () in
-  List.iter
-    (fun f -> if Database.mem st.st_out f && count st f = 0 then ignore (Database.add frontier f))
-    removed_inputs;
-  let current = ref frontier in
-  while Database.cardinal !current > 0 do
-    let frontier = !current in
-    let touched = ref [] in
-    iter_frontier_instances ?pool st ~frontier (fun heads ->
-        List.iter
-          (fun h ->
-            ignore (adjust_count st h (-1));
-            touched := h :: !touched)
-          heads);
-    Database.iter (fun f -> out_remove st acc f) frontier;
-    let next = Database.create () in
-    List.iter
-      (fun h ->
-        if
-          count st h = 0 && Database.mem st.st_out h
-          && not (Database.mem st.st_in h)
-        then ignore (Database.add next h))
-      !touched;
-    current := next
-  done
-
-(* Insertion cascade, mirror image: the frontier (facts new to
-   [st_out]) is added physically first, then every instance touching it
-   is counted. An instance whose new premises span several rounds is
-   counted once, in the round of its last-added premise — earlier
-   rounds cannot see it (the missing premise is not yet present), and a
-   later frontier never contains a fact already in [st_out]. *)
-let counting_insert ?pool st acc added_inputs =
-  let frontier = Database.create () in
-  List.iter
-    (fun f -> if not (Database.mem st.st_out f) then ignore (Database.add frontier f))
-    added_inputs;
-  let current = ref frontier in
-  while Database.cardinal !current > 0 do
-    let frontier = !current in
-    Database.iter (fun f -> out_add st acc f) frontier;
-    let fresh = ref [] in
-    iter_frontier_instances ?pool st ~frontier (fun heads ->
-        List.iter
-          (fun h ->
-            ignore (adjust_count st h 1);
-            fresh := h :: !fresh)
-          heads);
-    let next = Database.create () in
-    List.iter
-      (fun h -> if not (Database.mem st.st_out h) then ignore (Database.add next h))
-      !fresh;
-    current := next
-  done
-
-(* ------------------------------------------------------------------ *)
-(* DRed (recursive strata)                                             *)
+(* Delete/rederive                                                     *)
 
 (* Overdelete everything reachable from the deleted inputs (facts still
    present in the updated [st_in] are exempt — their support is given),
@@ -215,7 +102,10 @@ let counting_insert ?pool st acc added_inputs =
    derivation seed a semi-naive insertion cascade that restores every
    fact still derivable. The cascade can only re-add overdeleted facts:
    the database was closed under the rules before the batch, so
-   everything derivable from surviving facts was already present. *)
+   everything derivable from surviving facts was already present.
+   Each overdeletion round collects the heads of the instances that use
+   a frontier fact; a head reached by several instances lands once in
+   the deduplicating [next] database. *)
 let dred_delete ?pool st acc removed_inputs =
   let overdeleted = ref [] in
   let frontier = Database.create () in
@@ -226,15 +116,12 @@ let dred_delete ?pool st acc removed_inputs =
   while Database.cardinal !current > 0 do
     let frontier = !current in
     let next = Database.create () in
-    iter_frontier_instances ?pool st ~frontier (fun heads ->
-        List.iter
-          (fun h ->
-            if
-              Database.mem st.st_out h
-              && (not (Database.mem frontier h))
-              && not (Database.mem st.st_in h)
-            then ignore (Database.add next h))
-          heads);
+    Seminaive.iter_seeded_heads ?pool st.st_engine ~seed:frontier ~db:st.st_out (fun h ->
+        if
+          Database.mem st.st_out h
+          && (not (Database.mem frontier h))
+          && not (Database.mem st.st_in h)
+        then ignore (Database.add next h));
     Database.iter
       (fun f ->
         out_remove st acc f;
@@ -267,8 +154,7 @@ let fallback_recompute ?pool st acc =
     Database.fold (fun f l -> if Database.mem st.st_out f then l else f :: l) fresh []
   in
   List.iter (fun f -> out_remove st acc f) stale;
-  List.iter (fun f -> out_add st acc f) news;
-  if not st.st_recursive then rebuild_counts st
+  List.iter (fun f -> out_add st acc f) news
 
 let touches_negated st facts =
   List.exists (fun f -> Theory.Rel_set.mem (Atom.rel_key f) st.st_negated) facts
@@ -282,14 +168,8 @@ let process_stratum ?pool st acc ~ins ~del =
     true
   end
   else begin
-    if st.st_recursive then begin
-      if del <> [] then dred_delete ?pool st acc del;
-      if ins <> [] then dred_insert ?pool st acc ins
-    end
-    else begin
-      if del <> [] then counting_delete ?pool st acc del;
-      if ins <> [] then counting_insert ?pool st acc ins
-    end;
+    if del <> [] then dred_delete ?pool st acc del;
+    if ins <> [] then dred_insert ?pool st acc ins;
     false
   end
 
@@ -364,12 +244,11 @@ let negated_relations (sigma : Theory.t) =
         acc (Rule.neg_body_atoms r))
     Theory.Rel_set.empty (Theory.rules sigma)
 
-(* Refine each negation stratum into dependency components so the
-   delete/rederive strategy (and the negation fallback) pays only for
-   the component that is actually recursive (resp. touched): one
-   recursive rule must not force DRed on the whole program. The
-   concatenation is still dependencies-first, so each stratum's input
-   is the previous one's output. *)
+(* Refine each negation stratum into dependency components so an
+   overdeletion (and the negation fallback) pays only for the
+   component the batch actually reaches. The concatenation is still
+   dependencies-first, so each stratum's input is the previous one's
+   output. *)
 let stratum_theories sigma = Stratify.strata sigma |> List.concat_map Depgraph.rule_components
 
 let make_stratum ~join th ~st_in ~st_out =
@@ -377,9 +256,7 @@ let make_stratum ~join th ~st_in ~st_out =
     st_theory = th;
     st_engine = Seminaive.engine ~join th;
     st_join = join;
-    st_recursive = Depgraph.is_recursive th;
     st_negated = negated_relations th;
-    st_counts = Atom.Tbl.create 256;
     st_in;
     st_out;
   }
@@ -390,10 +267,8 @@ let build_strata ?pool ?(join = `Auto) (sigma : Theory.t) (base : Database.t) =
   |> List.map (fun th ->
          let st_in = !prev in
          let st_out = Seminaive.eval ~acdom:false ?pool ~join th st_in in
-         let st = make_stratum ~join th ~st_in ~st_out in
-         if not st.st_recursive then rebuild_counts st;
          prev := st_out;
-         st)
+         make_stratum ~join th ~st_in ~st_out)
   |> Array.of_list
 
 (* The EDB-derived parts of the state — the base database and the
@@ -438,10 +313,7 @@ let materialize ?pool ?join (sigma : Theory.t) (db0 : Database.t) =
 (* ------------------------------------------------------------------ *)
 (* Snapshot support: the cached state as plain data                    *)
 
-type stratum_dump = {
-  sd_new : Atom.t list;  (** output facts beyond the stratum's input *)
-  sd_counts : (Atom.t * int) list;  (** derivation counts; [] on DRed strata *)
-}
+type stratum_dump = { sd_new : Atom.t list  (** output facts beyond the stratum's input *) }
 
 type dump = {
   d_edb : Database.t;
@@ -458,11 +330,7 @@ let dump t =
                st.st_out []
              |> List.sort Atom.compare
            in
-           let sd_counts =
-             Atom.Tbl.fold (fun f n l -> (f, n) :: l) st.st_counts []
-             |> List.sort (fun (a, _) (b, _) -> Atom.compare a b)
-           in
-           { sd_new; sd_counts })
+           { sd_new })
   in
   { d_edb = Database.copy t.edb; d_strata = strata }
 
@@ -486,10 +354,8 @@ let restore ?pool ?(join = `Auto) (sigma : Theory.t) (d : dump) =
         let st_in = !prev in
         let st_out = Database.copy st_in in
         List.iter (fun f -> ignore (Database.add st_out f)) sd.sd_new;
-        let st = make_stratum ~join th ~st_in ~st_out in
-        List.iter (fun (f, n) -> Atom.Tbl.replace st.st_counts f n) sd.sd_counts;
         prev := st_out;
-        st)
+        make_stratum ~join th ~st_in ~st_out)
       theories d.d_strata
     |> Array.of_list
   in
@@ -564,8 +430,8 @@ let apply t (delta : Delta.t) =
   }
 
 let refresh t =
-  (* Rebuild each stratum's output in place (the databases are shared
-     down the chain, so the objects must survive) and its counts. *)
+  (* Rebuild each stratum's output in place: the databases are shared
+     down the chain, so the objects must survive. *)
   Array.iter
     (fun st ->
       let acc = acc_create () in

@@ -4,12 +4,11 @@
     program over an EDB: translate a theory once (Thms. 1/5 give
     database-independent rewritings), materialize it, then serve
     queries across update batches without re-running the fixpoint from
-    scratch. Each stratum caches its own output database; insertions
-    ride the semi-naive delta machinery, deletions use support counting
-    on nonrecursive strata and DRed (delete/rederive, with one-step
-    rederivation tests from {!Guarded_datalog.Provenance}) on recursive
-    strata. See DESIGN.md, "Incremental maintenance (counting +
-    DRed)". *)
+    scratch. Each stratum caches its own output database and is
+    maintained by DRed (delete/rederive): insertions ride the
+    semi-naive delta machinery, deletions overdelete and then rederive
+    with one-step tests from {!Guarded_datalog.Provenance}. See
+    DESIGN.md, "Incremental maintenance (DRed)". *)
 
 open Guarded_core
 
@@ -37,7 +36,7 @@ val pool : t -> Guarded_par.Pool.t option
 
 val db : t -> Database.t
 (** The maintained materialization (EDB ∪ ACDom ∪ IDB). Read-only:
-    mutating it corrupts the cached support state. *)
+    mutating it corrupts the cached state. *)
 
 val edb : t -> Database.t
 (** The current raw EDB (updates applied, no ACDom, no IDB). Read-only. *)
@@ -64,12 +63,7 @@ val apply : t -> Delta.t -> apply_result
     {!Guarded_server.Snapshot} persists dumps in a versioned binary
     format. *)
 
-type stratum_dump = {
-  sd_new : Atom.t list;
-      (** the stratum's output facts beyond its input, sorted *)
-  sd_counts : (Atom.t * int) list;
-      (** derivation counts (counting strata; [[]] on DRed strata), sorted *)
-}
+type stratum_dump = { sd_new : Atom.t list  (** the stratum's output facts beyond its input, sorted *) }
 
 type dump = {
   d_edb : Database.t;
@@ -96,7 +90,7 @@ val restore :
 
 val refresh : t -> unit
 (** Recompute every stratum from scratch over the current EDB,
-    rebuilding all cached support state. The maintained result is
+    rebuilding every stratum's cached output. The maintained result is
     unchanged if the invariants held — an escape hatch and a debugging
     aid, not part of the serving fast path. *)
 

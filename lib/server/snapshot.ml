@@ -7,28 +7,14 @@ exception Corrupt of string
 
 let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 
-let magic = "GRDSNAP1"
+let magic = "GRDSNAP2"
 
 (* ------------------------------------------------------------------ *)
 (* Body codec                                                          *)
 
-let write_stratum buf (sd : Incr.stratum_dump) =
-  Codec.write_list buf Codec.write_atom sd.sd_new;
-  Codec.write_list buf
-    (fun buf (a, n) ->
-      Codec.write_atom buf a;
-      Codec.write_varint buf n)
-    sd.sd_counts
+let write_stratum buf (sd : Incr.stratum_dump) = Codec.write_list buf Codec.write_atom sd.sd_new
 
-let read_stratum src : Incr.stratum_dump =
-  let sd_new = Codec.read_list src Codec.read_atom in
-  let sd_counts =
-    Codec.read_list src (fun src ->
-        let a = Codec.read_atom src in
-        let n = Codec.read_varint src in
-        (a, n))
-  in
-  { sd_new; sd_counts }
+let read_stratum src : Incr.stratum_dump = { sd_new = Codec.read_list src Codec.read_atom }
 
 let encode_body sigma (d : Incr.dump) =
   let buf = Buffer.create 4096 in

@@ -10,12 +10,18 @@
     encodings):
 
     {v
-      "GRDSNAP1"             8-byte magic, the trailing digit is the
+      "GRDSNAP2"             8-byte magic, the trailing digit is the
                              format version
       varint                 body length in bytes
       body                   theory, EDB, stratum dumps
       int64 (little-endian)  FNV-1a checksum of the body bytes
     v}
+
+    A stratum dump is the list of the stratum's output facts beyond
+    its input. Version 1 images also carried per-fact derivation
+    counts, which maintenance no longer keeps; they are refused as an
+    unsupported version, and a version-1 reader refuses version 2 the
+    same way, so neither side can misread the other's body.
 
     Loading verifies the magic, the version, the body length and the
     checksum before decoding; any mismatch — including truncation and

@@ -37,7 +37,7 @@
     nothing; send a snapshot"). The server answers either
     [FOLLOWING @e] — its journal covers [(k, e]] and replay starts
     immediately — or [SNAP e n] carrying a {!Snapshot}-format image of
-    epoch [e] (same [GRDSNAP1] magic, length and checksum as the file
+    epoch [e] (same [GRDSNAP2] magic, length and checksum as the file
     form; a corrupt or version-mismatched image is rejected by the
     replica with a parseable [ERROR]). Either way the connection then
     turns into a one-way stream of [JOURNAL e] records, one per

@@ -629,7 +629,11 @@ type partner = {
 }
 
 (* dat(Σ) for a guarded (or any positive existential) theory, computed
-   consequence-driven. *)
+   consequence-driven. Only the certain answers of the result matter,
+   so it is returned subsumption-reduced: a rule another rule subsumes
+   derives nothing new, and leaving it in only costs evaluation and
+   maintenance (it can also tie relations into a recursive component
+   that the reduced program does not have). *)
 let dat ?(max_rules = 200_000) (sigma : Theory.t) : Theory.t * stats =
   List.iter
     (fun r ->
@@ -787,7 +791,7 @@ let dat ?(max_rules = 200_000) (sigma : Theory.t) : Theory.t * stats =
   done;
   if !overflowed then
     Logs.warn (fun m -> m "Saturate.dat: resolution fan-out was capped; result may be incomplete");
-  let datalog_rules = Theory.dedup (Theory.of_rules (datalog0 @ List.rev !projections)) in
+  let datalog_rules = Subsumption.reduce (Theory.of_rules (datalog0 @ List.rev !projections)) in
   ( datalog_rules,
     {
       input_rules = Theory.size sigma;
@@ -796,7 +800,8 @@ let dat ?(max_rules = 200_000) (sigma : Theory.t) : Theory.t * stats =
       resolutions = List.length !objects;
     } )
 
-(* Prop. 6: a nearly guarded theory translates to dat(Σg) ∪ Σd. *)
+(* Prop. 6: a nearly guarded theory translates to dat(Σg) ∪ Σd, reduced
+   as a whole (a rule of Σd can subsume a projection of dat(Σg)). *)
 let dat_nearly_guarded ?max_rules (sigma : Theory.t) : Theory.t * stats =
   let guarded_part, datalog_part =
     List.partition Classify.is_guarded_rule (Theory.rules sigma)
@@ -808,4 +813,4 @@ let dat_nearly_guarded ?max_rules (sigma : Theory.t) : Theory.t * stats =
         invalid_arg (Fmt.str "Saturate.dat_nearly_guarded: rule %a is not nearly guarded" Rule.pp r))
     datalog_part;
   let datalog_of_guarded, stats = dat ?max_rules (Theory.of_rules guarded_part) in
-  (Theory.of_rules (Theory.rules datalog_of_guarded @ datalog_part), stats)
+  (Subsumption.reduce (Theory.of_rules (Theory.rules datalog_of_guarded @ datalog_part)), stats)

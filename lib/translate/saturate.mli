@@ -76,7 +76,10 @@ val dat_via_closure : ?max_rules:int -> Theory.t -> Theory.t * stats
 
 val dat : ?max_rules:int -> Theory.t -> Theory.t * stats
 (** Consequence-driven dat(Σ) for a guarded (or any positive) theory:
-    same certain answers as Σ on every database (Thm. 3).
+    same certain answers as Σ on every database (Thm. 3). The program
+    is returned {!Subsumption.reduce}d (which also deduplicates it), so
+    it holds no rule that another of its rules subsumes; [stats]
+    count the reduced program.
 
     Invariant (three variable sorts). Every variable taking part in a
     resolution belongs to exactly one of three disjoint sorts, and the
@@ -96,4 +99,6 @@ val dat : ?max_rules:int -> Theory.t -> Theory.t * stats
     renaming first. *)
 
 val dat_nearly_guarded : ?max_rules:int -> Theory.t -> Theory.t * stats
-(** Prop. 6: dat(Σg) ∪ Σd for a nearly guarded theory. *)
+(** Prop. 6: dat(Σg) ∪ Σd for a nearly guarded theory,
+    {!Subsumption.reduce}d as a whole. [stats] are those of
+    dat(Σg). *)

@@ -14,9 +14,10 @@
     variables into reserved constants, so the match side needs no
     renaming apart — a variable can never capture a constant. The
     frozen target (head plus a body {!Database}) is therefore a
-    reusable value, built once per rule by {!prepare} and shared across
-    every subsumer probed against it; the seed implementation rebuilt
-    it — plus a gensym-renamed copy of the subsumer — for every pair. *)
+    reusable value, built at most once per rule by {!prepare} and shared
+    across every subsumer probed against it; the seed implementation
+    rebuilt it — plus a gensym-renamed copy of the subsumer — for every
+    pair. *)
 
 open Guarded_core
 
@@ -78,51 +79,54 @@ let rec rel_ids_subset xs ys =
 (* Remove rules subsumed by another (distinct) rule of the theory.
    Identical-up-to-renaming duplicates collapse to their first
    occurrence; among mutually subsuming rules the earliest survives
-   (the outer loop visits candidates first-to-last and only live rules
-   get to subsume).
+   (candidates are visited first-to-last and only live rules get to
+   subsume).
 
    Candidate pairs come from an index instead of the seed's full n²
    scan: a subsumer must share the target's head relation, and its body
    relations must be a subset of the target's (θ maps body atoms onto
    same-relation atoms), so rules are grouped by head relation id and
    pairs failing the body-relation subset test are skipped before any
-   matching work. Targets are prepared once up front. *)
+   matching work. Subsumption never crosses groups, so each group is
+   reduced on its own: a target is prepared the first time a live
+   candidate of its group passes the subset test against it, and the
+   group's targets are garbage once the group is done. *)
 let reduce (sigma : Theory.t) : Theory.t =
   let rules = Array.of_list (Theory.rules (Theory.dedup sigma)) in
   let n = Array.length rules in
   let dead = Array.make n false in
-  let targets = Array.map prepare rules in
   let body_rels = Array.map body_rel_ids rules in
   (* head relation id -> indexes of eligible rules, ascending *)
-  let by_head : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i r ->
-      if targets.(i) <> None then begin
-        let rel = Atom.rel_id (List.hd (Rule.head r)) in
-        match Hashtbl.find_opt by_head rel with
-        | Some l -> l := i :: !l
-        | None -> Hashtbl.add by_head rel (ref [ i ])
-      end)
-    rules;
-  Hashtbl.iter (fun _ l -> l := List.rev !l) by_head;
-  for i = 0 to n - 1 do
-    if (not dead.(i)) && targets.(i) <> None then begin
+  let by_head : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  for i = n - 1 downto 0 do
+    if eligible rules.(i) then begin
       let rel = Atom.rel_id (List.hd (Rule.head rules.(i))) in
-      match Hashtbl.find_opt by_head rel with
-      | None -> ()
-      | Some l ->
-        List.iter
-          (fun j ->
-            if
-              i <> j
-              && (not dead.(j))
-              && rel_ids_subset body_rels.(i) body_rels.(j)
-              &&
-              match targets.(j) with
-              | Some tg -> subsumes_prepared rules.(i) tg
-              | None -> false
-            then dead.(j) <- true)
-          !l
+      Hashtbl.replace by_head rel (i :: Option.value ~default:[] (Hashtbl.find_opt by_head rel))
     end
   done;
+  Hashtbl.iter
+    (fun _ group ->
+      let targets = Hashtbl.create 16 in
+      let target j =
+        match Hashtbl.find_opt targets j with
+        | Some tg -> tg
+        | None ->
+          let tg = Option.get (prepare rules.(j)) in
+          Hashtbl.add targets j tg;
+          tg
+      in
+      List.iter
+        (fun i ->
+          if not dead.(i) then
+            List.iter
+              (fun j ->
+                if
+                  i <> j
+                  && (not dead.(j))
+                  && rel_ids_subset body_rels.(i) body_rels.(j)
+                  && subsumes_prepared rules.(i) (target j)
+                then dead.(j) <- true)
+              group)
+        group)
+    by_head;
   Theory.of_rules (List.filteri (fun i _ -> not dead.(i)) (Array.to_list rules))

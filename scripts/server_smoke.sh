@@ -3,7 +3,8 @@
 # socket, drive it with ~50 relation/pattern/CQ queries plus an update
 # batch through `guarded client`, check the STATS cache counters, and
 # shut the server down cleanly with SIGTERM. In materialized mode the
-# run also snapshots and warm-restarts; in demand mode (`--demand`)
+# run also snapshots and warm-restarts, then checks that a snapshot
+# rewritten to format version 1 is refused; in demand mode (`--demand`)
 # snapshots are unavailable and the counters must move: repeat queries
 # are cache hits.
 #
@@ -406,6 +407,20 @@ if [ "$MODE" = materialized ]; then
   [ "$WARM" = "ANSWERS 206" ] || { echo "warm restart: expected ANSWERS 206, got: $WARM"; exit 1; }
   kill -TERM "$SERVER_PID"
   wait "$SERVER_PID" 2>/dev/null || true
+
+  # A version-1 image (it also carried derivation counts) is refused
+  # up front: exit 2 with the parseable version error, never a crash
+  # and never a served socket.
+  printf '1' | dd of="$SNAP" bs=1 seek=7 count=1 conv=notrunc 2>/dev/null
+  OLD_RC=0
+  timeout 60 $GUARDED listen "$WORK/path.rules" --socket "$SOCK" --snapshot "$SNAP" \
+    2> "$WORK/old_snap.log" || OLD_RC=$?
+  [ "$OLD_RC" = 2 ] || { echo "version-1 snapshot: expected exit 2, got $OLD_RC"; cat "$WORK/old_snap.log"; exit 1; }
+  grep -q "unsupported snapshot version" "$WORK/old_snap.log" \
+    || { echo "version-1 snapshot: no version error"; cat "$WORK/old_snap.log"; exit 1; }
+  if grep -q "listening on" "$WORK/old_snap.log"; then
+    echo "version-1 snapshot: the server started serving"; cat "$WORK/old_snap.log"; exit 1
+  fi
 fi
 
 echo "server smoke: OK (domains=$DOMAINS, mode=$MODE)"

@@ -1,10 +1,12 @@
 (** The incremental maintenance subsystem (lib/incr): unit tests for
-    each maintenance path — counting on nonrecursive strata, DRed on
-    recursive ones, fallback recompute when negated relations change,
-    ACDom upkeep — plus the oracle property: over random update
-    schedules, the maintained materialization is set-equal to
-    from-scratch semi-naive evaluation after every batch, with and
-    without a worker pool. *)
+    each maintenance path — DRed (delete/rederive) on every stratum,
+    nonrecursive and recursive, including a high fan-in stratum whose
+    facts have many derivations each; fallback recompute when negated
+    relations change; ACDom upkeep; the subsumption-reduced translation
+    of the serving benchmark's program, checked against the unreduced
+    one — plus the oracle property: over random update schedules, the
+    maintained materialization is set-equal to from-scratch semi-naive
+    evaluation after every batch, with and without a worker pool. *)
 
 open Guarded_core
 open Guarded_gen.Generator
@@ -39,11 +41,11 @@ let test_delta_parse () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Counting maintenance (nonrecursive strata)                          *)
+(* Support on nonrecursive strata                                      *)
 
 (* Two derivations of q(a): deleting one support keeps the fact, the
    second deletion removes it through a cascade. *)
-let test_counting_shared_support () =
+let test_shared_support () =
   let sigma = theory "r(X, Y) -> p(X). p(X) -> q(X)." in
   let m = Incr.materialize sigma (db "r(a, b). r(a, c).") in
   Alcotest.(check bool) "q(a) in" true (Database.mem (Incr.db m) (atom "q(a)"));
@@ -57,7 +59,7 @@ let test_counting_shared_support () =
 (* A derived fact that is also an input fact keeps its input support
    when the derivation dies, and its derived support when the input
    goes. *)
-let test_counting_input_and_derived () =
+let test_input_and_derived_support () =
   let sigma = theory "r(X, Y) -> p(X)." in
   let m = Incr.materialize sigma (db "r(a, b). p(a).") in
   ignore (Incr.apply m (delta ~del:[ "r(a, b)" ] ()));
@@ -66,6 +68,37 @@ let test_counting_input_and_derived () =
   Alcotest.(check bool) "derived support holds" true (Database.mem (Incr.db m) (atom "p(a)"));
   ignore (Incr.apply m (delta ~del:[ "r(a, b)" ] ()));
   Alcotest.(check bool) "no support left" false (Database.mem (Incr.db m) (atom "p(a)"))
+
+(* High fan-in: every pair of hasTopic facts on a topic derives
+   shared(topic), so each shared fact has n² derivations. Retiring the
+   supports one at a time must keep shared(z) until the last one goes,
+   and report exactly the facts that left: an overdeleted shared(z)
+   that is rederived in the same batch is no net change. *)
+let test_high_fan_in () =
+  let sigma = theory "hasTopic(X0, Z), hasTopic(X1, Z) -> shared(Z)." in
+  let n = 12 in
+  let support i = Fmt.str "hasTopic(p%d, z)" i in
+  let reference =
+    Database.of_atoms (List.map atom (List.init n support @ [ "hasTopic(p0, w)"; "hasTopic(p1, w)" ]))
+  in
+  (* materialize copies the EDB, so [reference] stays the oracle's *)
+  let m = Incr.materialize sigma reference in
+  for i = 0 to n - 1 do
+    let res = Incr.apply m (delta ~del:[ support i ] ()) in
+    ignore (Database.remove reference (atom (support i)));
+    let last = i = n - 1 in
+    Alcotest.(check bool)
+      (Fmt.str "shared(z) after %d of %d retired" (i + 1) n)
+      (not last)
+      (Database.mem (Incr.db m) (atom "shared(z)"));
+    Alcotest.(check int)
+      (Fmt.str "removals at retirement %d" (i + 1))
+      (if last then 2 else 1) res.Incr.res_removed;
+    Alcotest.(check int) (Fmt.str "additions at retirement %d" (i + 1)) 0 res.Incr.res_added;
+    Alcotest.(check bool) "other topic untouched" true (Database.mem (Incr.db m) (atom "shared(w)"));
+    check_db (Fmt.str "from scratch at retirement %d" (i + 1)) (Seminaive.eval sigma reference)
+      (Incr.db m)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* DRed maintenance (recursive strata)                                 *)
@@ -179,6 +212,110 @@ let test_batch_semantics_and_refresh () =
   check_db "refresh is the identity" before (Incr.db m)
 
 (* ------------------------------------------------------------------ *)
+(* The serving benchmark's program, reduced                            *)
+
+(* fg_family 2, the Thm. 1 theory the serving benchmark translates. *)
+let fg_family_2 =
+  {|
+  publication(X) -> exists K1, K2. keywords(X, K1, K2).
+  keywords(X, K1, K2) -> hasTopic(X, K1).
+  hasTopic(X0, Z), hasTopic(X1, Z) -> shared(Z).
+  shared(Z), hasTopic(X0, Z), hasAuthor(X0, A) -> q(A).
+|}
+
+(* The facts of publication [i]: one or two authors out of 9, one
+   topic out of 5, and now and then a self-loop that only the
+   translation's equality-case rules (hasAuthor(X, X), hasTopic(X, X))
+   can use. *)
+let publication i =
+  let p = Fmt.str "p%d" i in
+  [
+    Fmt.str "publication(%s)" p;
+    Fmt.str "hasAuthor(%s, a%d)" p (i * 7 mod 9);
+    Fmt.str "hasAuthor(%s, a%d)" p (i * 4 mod 9);
+    Fmt.str "hasTopic(%s, t%d)" p (i mod 5);
+  ]
+  @ (if i mod 7 = 3 then [ Fmt.str "hasAuthor(%s, %s)" p p ] else [])
+  @ if i mod 11 = 5 then [ Fmt.str "hasTopic(%s, %s)" p p ] else []
+
+let publications lo hi = List.concat_map publication (List.init (hi - lo) (fun k -> lo + k))
+
+(* The serving pipeline's Thm. 1 route (Pipeline.to_datalog on a
+   frontier-guarded theory): normalize, rewrite to nearly guarded,
+   saturate. The rewriting invents fresh Aux relations on every call,
+   so both programs are saturated from one rewriting: the served one
+   by {!Saturate.dat_nearly_guarded}, the unreduced one by the literal
+   Fig. 3 closure, whose Datalog part is never subsumption-reduced. *)
+let serve_translations sigma =
+  let open Guarded_translate in
+  let budget = Pipeline.default_budget in
+  let normalized = Normalize.normalize sigma in
+  let ng, _ = Rewrite_fg.rew_frontier_guarded ~max_rules:budget.max_expansion_rules normalized in
+  let served, _ = Saturate.dat_nearly_guarded ~max_rules:budget.max_saturation_rules ng in
+  let guarded, datalog = List.partition Classify.is_guarded_rule (Theory.rules ng) in
+  let dat, _ =
+    Saturate.dat_via_closure ~max_rules:budget.max_saturation_rules (Theory.of_rules guarded)
+  in
+  (served, Theory.of_rules (Theory.rules dat @ datalog))
+
+(* The served program is reduced to a fixpoint of the reduction and has
+   no recursive component; a serve-write-shaped schedule (a block of
+   entities added and retired, then small batches that each enroll two
+   entities and retire the previous two) maintains exactly the
+   fixpoint of the unreduced translation after every batch, so the
+   reduction dropped no rule the program needs. *)
+let test_reduced_serve_program () =
+  let sigma = theory fg_family_2 in
+  Alcotest.(check string)
+    "pipeline route" "frontier-guarded"
+    (Classify.language_name (Classify.classify (Normalize.normalize sigma)));
+  let program, unreduced = serve_translations sigma in
+  Alcotest.(check int)
+    "same size as the serving pipeline's program"
+    (Theory.size
+       (Guarded_translate.Pipeline.serving_program sigma).Guarded_translate.Pipeline.served_program)
+    (Theory.size program);
+  List.iter
+    (fun comp ->
+      let g = Guarded_datalog.Depgraph.of_theory comp in
+      Alcotest.(check int)
+        (Fmt.str "recursive relations in a %d-rule component" (Theory.size comp))
+        0
+        (Theory.Rel_set.cardinal (Guarded_datalog.Depgraph.recursive_relations g)))
+    (Guarded_datalog.Depgraph.rule_components program);
+  Alcotest.(check bool)
+    "reduce is the identity" true
+    (List.equal Rule.equal
+       (Theory.rules (Guarded_translate.Subsumption.reduce program))
+       (Theory.rules program));
+  Alcotest.(check bool)
+    (Fmt.str "unreduced has more rules (%d vs %d)" (Theory.size unreduced) (Theory.size program))
+    true
+    (Theory.size unreduced > Theory.size program);
+  let facts l = List.map atom l in
+  let initial = publications 0 30 in
+  let reference = Database.of_atoms (facts initial) in
+  let m = Incr.materialize program reference in
+  let check label = check_db label (Seminaive.eval unreduced reference) (Incr.db m) in
+  check "initial";
+  let step label ~add ~del =
+    ignore (Incr.apply m (Delta.of_lists ~additions:(facts add) ~deletions:(facts del)));
+    List.iter (fun f -> ignore (Database.remove reference f)) (facts del);
+    List.iter (fun f -> ignore (Database.add reference f)) (facts add);
+    check label
+  in
+  let block = publications 30 45 in
+  step "block added" ~add:block ~del:[];
+  step "block retired" ~add:[] ~del:block;
+  let prev = ref [] in
+  for k = 0 to 7 do
+    let batch = publications (45 + (2 * k)) (47 + (2 * k)) in
+    step (Fmt.str "small batch %d" k) ~add:batch ~del:!prev;
+    prev := batch
+  done;
+  step "last batch retired" ~add:[] ~del:!prev
+
+(* ------------------------------------------------------------------ *)
 (* The oracle property: maintained = from-scratch after every batch    *)
 
 let gen_delta =
@@ -221,7 +358,7 @@ let prop_oracle_semipositive =
     (arbitrary_case arbitrary_semipositive) check_schedule
 
 (* The same schedules through the pool runtime: parallel insertion
-   rounds and seeded-instance enumeration must maintain the same set. *)
+   rounds and seeded head enumeration must maintain the same set. *)
 let pool = lazy (Pool.create ~domains:2 ~min_work:1 ~oversubscribe:true ())
 
 let prop_oracle_datalog_pool =
@@ -283,8 +420,9 @@ let prop_retire_semipositive_pool =
 let suite =
   [
     Alcotest.test_case "delta parsing" `Quick test_delta_parse;
-    Alcotest.test_case "counting: shared support" `Quick test_counting_shared_support;
-    Alcotest.test_case "counting: input + derived support" `Quick test_counting_input_and_derived;
+    Alcotest.test_case "shared support: one of two derivations goes" `Quick test_shared_support;
+    Alcotest.test_case "input + derived support" `Quick test_input_and_derived_support;
+    Alcotest.test_case "high fan-in: support until the last goes" `Quick test_high_fan_in;
     Alcotest.test_case "dred: transitive closure" `Quick test_dred_transitive_closure;
     Alcotest.test_case "dred: self-supporting cycle dies" `Quick test_dred_cycle_unsupported;
     Alcotest.test_case "negation fallback" `Quick test_negation_fallback;
@@ -292,6 +430,7 @@ let suite =
     Alcotest.test_case "serve example 7" `Quick test_serve_example7;
     Alcotest.test_case "cq answers" `Quick test_cq_answers;
     Alcotest.test_case "batch semantics + refresh" `Quick test_batch_semantics_and_refresh;
+    Alcotest.test_case "reduced serve program = unreduced" `Quick test_reduced_serve_program;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

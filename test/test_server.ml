@@ -309,6 +309,25 @@ let test_snapshot_corruption () =
       let _, warm = Snapshot.load path in
       check_db "pristine bytes load" (Incr.db m) (Incr.db warm))
 
+(* A version-1 image carried derivation counts in every stratum dump.
+   Decoding one must fail on the version byte with the parseable
+   "unsupported snapshot version" error, never by misreading the body. *)
+let test_snapshot_old_version () =
+  let sigma = theory path_sigma in
+  let m = Incr.materialize sigma (db "e(a, b). e(b, c).") in
+  let raw = Bytes.of_string (Snapshot.encode sigma (Incr.dump m)) in
+  Alcotest.(check char) "current version byte" '2' (Bytes.get raw 7);
+  Bytes.set raw 7 '1';
+  match Snapshot.decode (Bytes.to_string raw) with
+  | _ -> Alcotest.fail "version-1 image accepted"
+  | exception Snapshot.Corrupt msg ->
+    let needle = "unsupported snapshot version '1'" in
+    let found = ref false in
+    for i = 0 to String.length msg - String.length needle do
+      if String.sub msg i (String.length needle) = needle then found := true
+    done;
+    if not !found then Alcotest.failf "unexpected error: %s" msg
+
 (* ------------------------------------------------------------------ *)
 (* State: commit results, errors, shutdown                             *)
 
@@ -913,6 +932,7 @@ let suite =
     Alcotest.test_case "codec: round-trip + truncation" `Quick test_codec_roundtrip;
     Alcotest.test_case "snapshot: warm = cold" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot: corruption rejected" `Quick test_snapshot_corruption;
+    Alcotest.test_case "snapshot: version-1 image refused" `Quick test_snapshot_old_version;
     Alcotest.test_case "state: commit/read/shutdown" `Quick test_state_basics;
     Alcotest.test_case "server: socket session" `Quick test_server_socket;
     Alcotest.test_case "server: snapshot command" `Quick test_server_snapshot_command;
